@@ -18,7 +18,8 @@
 //! Usage: `exp_parallel [--scale S] [--max-level N] [--seed N]`
 //! (default level 7, i.e. L7 lattices). Emits one metrics record per
 //! (query, workers) to `results/BENCH_exp_parallel.json`; `phases.total_ns`
-//! carries the measured wall-clock of the debug call.
+//! carries the measured wall-clock of the debug call. Exits non-zero when
+//! the worst speedup at 4 workers is below the 2x target.
 
 use std::time::{Duration, Instant};
 
@@ -118,4 +119,7 @@ fn main() {
         if speedup_at_4 >= 2.0 { "target >=2x met" } else { "BELOW the 2x target" }
     );
     emit_metrics("exp_parallel", &records);
+    if speedup_at_4 < 2.0 {
+        std::process::exit(1);
+    }
 }

@@ -1,7 +1,7 @@
 //! Cross-session batched probing: merge concurrent sessions' frontiers into
 //! shared dispatch waves.
 //!
-//! PR 8's process-wide [`crate::evalcache::SharedEvalCache`] deduplicates
+//! The process-wide [`crate::evalcache::SharedEvalCache`] deduplicates
 //! overlapping probes *after* the first session has paid for the execution.
 //! This module removes the other half of the redundancy: probes that are
 //! simultaneously **in flight** across sessions. Concurrent sessions on the
@@ -9,42 +9,50 @@
 //! to a configured window; probes are canonicalized by the same
 //! [`crate::evalcache::network_key`] the layer-3 verdict cache uses, equal
 //! keys coalesce, and each distinct probe executes exactly once — on the
-//! PR 3 work-stealing pool of the first session that submitted it (the
-//! *owner*). Every other subscriber (a *follower*) receives the verdict in
-//! flight and books it like a memo hit (`coalesced_probes`), never as an
-//! execution.
+//! executor of the first session that submitted it (the *owner*). Every
+//! other subscriber (a *follower*) receives the verdict in flight and books
+//! it like a memo hit (`coalesced_probes`), never as an execution.
 //!
-//! **Determinism** (DESIGN.md §14): the batched driver replays verdicts in
-//! each session's original dispatch-slot order, so per-session reports are
-//! identical to unbatched runs. Three properties make this sound:
+//! The *exchange executor* (`Exchange`) is one of the traversal wave loop's
+//! executors (see [`crate::traversal`]). It wraps the session's inline or
+//! pooled executor: it parks the wave's keys, runs the probes this session
+//! owns on the inner executor, and re-runs orphaned probes there too.
+//!
+//! **Determinism** (DESIGN.md §14): the wave loop reserves and applies in
+//! each session's own slot order whatever the executor, so per-session
+//! reports are identical to unbatched runs. Three properties make this
+//! sound:
 //!
 //! * *Wave independence* (§8) — no verdict in a wave can classify another
 //!   member, so within a wave the apply order is the only order that
-//!   matters, and the driver preserves it per session.
+//!   matters, and the loop preserves it per session.
 //! * *Ground-truth verdicts* — two probes with equal canonical keys on the
 //!   same database snapshot are the same query; the owner's verdict is
 //!   bit-for-bit the verdict the follower's own engine would have produced.
 //! * *Deterministic budgets* — followers reserve their own
 //!   [`crate::budget::BudgetGate`] slot at their original dispatch position
 //!   *before* parking, so a `max_probes` budget trips at exactly the node
-//!   where the unbatched run would have stopped.
+//!   where the unbatched run would have stopped. A parked wave is reserved
+//!   whole before it executes, so a tuple cap can trip later than inline.
 //!
 //! **Liveness**: a session always executes and publishes *all* probes it
 //! owns before waiting on any follower cell, so two sessions can never wait
 //! on each other. If an owner dies mid-wave (panic, hard failure), an RAII
 //! guard orphans its unpublished cells and each follower re-executes the
-//! probe on its own pool — the reservation it already holds makes that a
-//! pure fallback to unbatched behavior. The exchange never outlives its
+//! probe on its own executor — the reservation it already holds makes that
+//! a pure fallback to unbatched behavior. The exchange never outlives its
 //! sessions: registrations are RAII (one `BatchTicket` per attached
 //! debugger, for the debugger's lifetime), groups are removed when their
 //! last session leaves, and the per-round cell map is cleared at every
 //! flush. A session leaving mid-round re-checks the everyone-parked flush
 //! condition, so parked peers never wait on a session that is gone.
 //!
-//! Single-session traffic (fewer than [`BatchConfig::min_sessions`]
-//! *registered* sessions on the group) bypasses the exchange entirely — no
-//! lock, no parking, gauges untouched — so the uncontended fast path costs
-//! one atomic load per wave. Registration is session-lifetime rather than
+//! A wave that begins while fewer than [`BatchConfig::min_sessions`]
+//! sessions are *registered* on the group bypasses the exchange entirely —
+//! every submit passes straight through to the inner executor, with no
+//! lock, no parking and no gauge touched — so a solo session runs exactly
+//! as unbatched for one atomic load per wave. Registration is
+//! session-lifetime rather than
 //! call-lifetime deliberately: real requests are often far shorter than the
 //! scheduling jitter between them, so "who is in a debug call *right now*"
 //! would almost never overlap — what predicts a mergeable peer is "who is
@@ -56,18 +64,12 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use relengine::ExecStats;
-
 use crate::error::KwError;
-use crate::lattice::Lattice;
-use crate::oracle::{AlivenessOracle, Probe};
-use crate::parallel::{Completion, Job, PoolState};
-use crate::prune::PrunedLattice;
-use crate::traversal::Frontier;
+use crate::oracle::Probe;
+use crate::traversal::{ProbeCtx, ProbeExecutor};
 
 /// Tuning knobs for the cross-session wave exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -395,22 +397,22 @@ impl Drop for BatchTicket {
 
 /// RAII custody of the cells a session owns in one wave: any cell not yet
 /// published when the guard drops (hard failure, panic unwinding through
-/// the dispatcher) is orphaned so followers fall back to self-execution.
+/// the wave loop) is orphaned so followers fall back to self-execution.
 struct OwnedCells {
     cells: HashMap<usize, Arc<ProbeCell>>,
 }
 
 impl OwnedCells {
-    fn new() -> OwnedCells {
-        OwnedCells { cells: HashMap::new() }
-    }
-
-    fn insert(&mut self, slot: usize, cell: Arc<ProbeCell>) {
-        self.cells.insert(slot, cell);
-    }
-
-    fn take(&mut self, slot: usize) -> Option<Arc<ProbeCell>> {
-        self.cells.remove(&slot)
+    /// Publishes the outcome of owned slot `slot`, if it is owned. Faults,
+    /// hard failures and budget trips are session-local, so they orphan the
+    /// cell and followers re-execute on their own.
+    fn publish(&mut self, slot: usize, probe: &Probe) {
+        if let Some(cell) = self.cells.remove(&slot) {
+            match probe {
+                Probe::Verdict(alive) => cell.fulfill(*alive),
+                _ => cell.orphan(),
+            }
+        }
     }
 }
 
@@ -422,366 +424,106 @@ impl Drop for OwnedCells {
     }
 }
 
-/// Runs a strategy's probe waves through the exchange: the batched twin of
-/// `crate::parallel::run_waves`, identical in classification, reservation
-/// and apply order, with the execution set partitioned across sessions by
-/// the exchange (see the module docs). Used for every worker count when a
-/// ticket is held — a one-worker pool is the sequential driver with the
-/// exchange spliced in.
-pub(crate) fn run_batched_waves(
-    lattice: &Lattice,
-    pruned: &PrunedLattice,
-    oracle: &mut AlivenessOracle<'_>,
-    frontier: &mut dyn Frontier,
-    workers: usize,
-    ticket: &BatchTicket,
-) -> Result<(), KwError> {
-    let workers = workers.max(1);
-    if workers == 1 {
-        // One worker means the pool buys nothing but a thread spawn per
-        // interpretation — run the same protocol inline instead, so a
-        // sequential session pays no overhead for the exchange it may never
-        // need (the uncontended-p50 half of the E20 contract).
-        return run_batched_waves_seq(lattice, pruned, oracle, frontier, ticket);
-    }
-    let core = oracle.core();
-    core.metrics.workers.add(workers as u64);
+/// The exchange executor of one session holding a [`BatchTicket`], wrapped
+/// around its inline or pooled executor (see the module docs). A wave that
+/// begins below `min_sessions` passes every submit straight through;
+/// otherwise submits are collected and the whole wave is parked, executed
+/// and delivered at `finish_wave`.
+pub(crate) struct Exchange<'x, 'e, 'a> {
+    ctx: ProbeCtx<'e, 'a>,
+    ticket: &'x BatchTicket,
+    inner: &'x mut dyn ProbeExecutor,
+    /// Whether the current wave parks; decided when it begins.
+    parks: bool,
+    /// The parking wave's dense nodes, by slot.
+    pending: Vec<usize>,
+}
 
-    let pool = PoolState::new(workers);
-    let (done_tx, done_rx) = mpsc::channel::<Completion>();
-
-    let mut failure: Option<KwError> = None;
-    let worker_stats: Vec<ExecStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let pool = &pool;
-                let done = done_tx.clone();
-                scope.spawn(move || {
-                    let mut engine = core.make_engine(w as u64);
-                    while let Some(job) = pool.take(w, &core.metrics) {
-                        let node = pruned.lattice_id(job.dense);
-                        let jnts = pruned.jnts(lattice, job.dense);
-                        let probe = core.execute_reserved(&mut engine, node, jnts);
-                        if done
-                            .send(Completion { slot: job.slot, dense: job.dense, probe })
-                            .is_err()
-                        {
-                            break;
-                        }
-                    }
-                    engine.stats().clone()
-                })
-            })
-            .collect();
-        drop(done_tx);
-
-        let mut wave = Vec::new();
-        let mut next_worker = 0usize;
-        'traversal: loop {
-            wave.clear();
-            frontier.next_wave(&mut wave);
-            if wave.is_empty() {
-                break;
-            }
-            // Classify and reserve in sequential visit order — byte-for-byte
-            // the dispatch loop of `run_waves`, except that probes surviving
-            // to dispatch are *collected* (slot = dispatch position) instead
-            // of pushed to the pool immediately.
-            let mut pending: Vec<usize> = Vec::new();
-            let mut stop_after_wave = false;
-            for &dense in wave.iter() {
-                if !frontier.is_unknown(dense) {
-                    core.metrics.reuse_hits.incr();
-                    continue;
-                }
-                if let Some(alive) = core.verdict_if_known(pruned.lattice_id(dense)) {
-                    core.metrics.memo_hits.incr();
-                    frontier.apply(dense, alive, &core.metrics);
-                    continue;
-                }
-                if let Some(alive) =
-                    core.shortcut(pruned.lattice_id(dense), pruned.jnts(lattice, dense))
-                {
-                    frontier.apply(dense, alive, &core.metrics);
-                    continue;
-                }
-                if core.try_reserve().is_err() {
-                    stop_after_wave = true;
-                    break;
-                }
-                pending.push(dense);
-            }
-
-            // Park the wave. `None` = bypass (too few sessions): every probe
-            // is implicitly owned and the wave runs exactly like `run_waves`.
-            let roles = if pending.is_empty() {
-                None
-            } else {
-                let keys: Vec<Vec<u8>> = pending
-                    .iter()
-                    .map(|&dense| {
-                        core.exchange_key(pruned.jnts(lattice, dense), &mut |kw| {
-                            ticket.exchange.intern(kw)
-                        })
-                    })
-                    .collect();
-                let roles = ticket.park(&keys);
-                if roles.is_some() {
-                    core.metrics.batched_waves.incr();
-                }
-                roles
-            };
-
-            // Execute every probe this session owns on its own pool, then
-            // publish each verdict to its cell as it completes — all before
-            // waiting on any follower cell, which is what makes the
-            // exchange deadlock-free.
-            let mut outcomes: Vec<Option<(usize, Probe)>> = pending.iter().map(|_| None).collect();
-            let mut owned = OwnedCells::new();
-            let mut dispatched = 0usize;
-            for (slot, &dense) in pending.iter().enumerate() {
-                if let Some(r) = &roles {
-                    match &r[slot] {
-                        Role::Owner(cell) => owned.insert(slot, cell.clone()),
-                        Role::Follower(_) => continue,
-                    }
-                }
-                pool.push(next_worker, Job { slot, dense });
-                next_worker = (next_worker + 1) % workers;
-                dispatched += 1;
-            }
-            for _ in 0..dispatched {
-                let c = done_rx.recv().expect("worker pool hung up mid-wave");
-                if let Some(cell) = owned.take(c.slot) {
-                    match &c.probe {
-                        Probe::Verdict(alive) => cell.fulfill(*alive),
-                        // Faults, hard failures and budget trips are
-                        // session-local; followers re-execute on their own.
-                        _ => cell.orphan(),
-                    }
-                }
-                outcomes[c.slot] = Some((c.dense, c.probe));
-            }
-
-            // Collect follower verdicts; orphaned cells fall back to local
-            // execution (the budget slot reserved above still stands).
-            if let Some(roles) = &roles {
-                let mut redispatched = 0usize;
-                for (slot, role) in roles.iter().enumerate() {
-                    let Role::Follower(cell) = role else { continue };
-                    let dense = pending[slot];
-                    match cell.wait() {
-                        Some(alive) => {
-                            core.record_coalesced(
-                                pruned.lattice_id(dense),
-                                pruned.jnts(lattice, dense),
-                                alive,
-                            );
-                            ticket.exchange.coalesced.fetch_add(1, Ordering::Relaxed);
-                            outcomes[slot] = Some((dense, Probe::Verdict(alive)));
-                        }
-                        None => {
-                            pool.push(next_worker, Job { slot, dense });
-                            next_worker = (next_worker + 1) % workers;
-                            redispatched += 1;
-                        }
-                    }
-                }
-                for _ in 0..redispatched {
-                    let c = done_rx.recv().expect("worker pool hung up mid-wave");
-                    outcomes[c.slot] = Some((c.dense, c.probe));
-                }
-            }
-
-            // Apply in dispatch (= sequential visit) order — identical to
-            // `run_waves`.
-            for outcome in outcomes.into_iter() {
-                let (dense, probe) = outcome.expect("every pending slot completes");
-                match probe {
-                    Probe::Verdict(alive) => {
-                        if frontier.is_unknown(dense) {
-                            frontier.apply(dense, alive, &core.metrics);
-                        } else {
-                            core.metrics.inference_suppressed_probes.incr();
-                        }
-                    }
-                    Probe::NodeFailed(e) if e.is_fault() => frontier.abandon(dense),
-                    Probe::NodeFailed(e) => {
-                        failure = Some(e.into());
-                        break 'traversal;
-                    }
-                    Probe::Exhausted(_) => stop_after_wave = true,
-                }
-            }
-            if stop_after_wave {
-                frontier.exhaust();
-                break;
-            }
-        }
-        pool.shutdown();
-        handles.into_iter().map(|h| h.join().expect("probe worker panicked")).collect()
-    });
-
-    for stats in &worker_stats {
-        oracle.absorb_stats(stats);
-    }
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(()),
+impl<'x, 'e, 'a> Exchange<'x, 'e, 'a> {
+    pub(crate) fn new(
+        ctx: ProbeCtx<'e, 'a>,
+        ticket: &'x BatchTicket,
+        inner: &'x mut dyn ProbeExecutor,
+    ) -> Self {
+        Exchange { ctx, ticket, inner, parks: false, pending: Vec::new() }
     }
 }
 
-/// The single-worker twin of [`run_batched_waves`]: the identical wave
-/// protocol (classify and reserve in visit order, park, register owned
-/// cells, execute owned probes publishing each verdict, collect followers,
-/// apply in slot order) with probes executed inline on the calling thread —
-/// no pool, no channels, no thread spawn. A solo session that bypasses
-/// every park therefore runs the same instruction path as the unbatched
-/// sequential driver plus one atomic load per wave.
-fn run_batched_waves_seq(
-    lattice: &Lattice,
-    pruned: &PrunedLattice,
-    oracle: &mut AlivenessOracle<'_>,
-    frontier: &mut dyn Frontier,
-    ticket: &BatchTicket,
-) -> Result<(), KwError> {
-    let core = oracle.core();
-    core.metrics.workers.add(1);
-    let mut engine = core.make_engine(0);
-
-    let mut failure: Option<KwError> = None;
-    let mut wave = Vec::new();
-    'traversal: loop {
-        wave.clear();
-        frontier.next_wave(&mut wave);
-        if wave.is_empty() {
-            break;
-        }
-        let mut pending: Vec<usize> = Vec::new();
-        let mut stop_after_wave = false;
-        for &dense in wave.iter() {
-            if !frontier.is_unknown(dense) {
-                core.metrics.reuse_hits.incr();
-                continue;
-            }
-            if let Some(alive) = core.verdict_if_known(pruned.lattice_id(dense)) {
-                core.metrics.memo_hits.incr();
-                frontier.apply(dense, alive, &core.metrics);
-                continue;
-            }
-            if let Some(alive) =
-                core.shortcut(pruned.lattice_id(dense), pruned.jnts(lattice, dense))
-            {
-                frontier.apply(dense, alive, &core.metrics);
-                continue;
-            }
-            if core.try_reserve().is_err() {
-                stop_after_wave = true;
-                break;
-            }
-            pending.push(dense);
-        }
-
-        let roles = if pending.is_empty() {
-            None
-        } else {
-            let keys: Vec<Vec<u8>> = pending
-                .iter()
-                .map(|&dense| {
-                    core.exchange_key(pruned.jnts(lattice, dense), &mut |kw| {
-                        ticket.exchange.intern(kw)
-                    })
-                })
-                .collect();
-            let roles = ticket.park(&keys);
-            if roles.is_some() {
-                core.metrics.batched_waves.incr();
-            }
-            roles
-        };
-
-        // Register every owned cell *before* the first execution, so an
-        // unwind mid-wave orphans the not-yet-published remainder (the same
-        // guarantee the pooled driver gets from dispatching first).
-        let mut owned = OwnedCells::new();
-        if let Some(r) = &roles {
-            for (slot, role) in r.iter().enumerate() {
-                if let Role::Owner(cell) = role {
-                    owned.insert(slot, cell.clone());
-                }
-            }
-        }
-        let mut outcomes: Vec<Option<(usize, Probe)>> = pending.iter().map(|_| None).collect();
-        for (slot, &dense) in pending.iter().enumerate() {
-            if matches!(&roles, Some(r) if matches!(&r[slot], Role::Follower(_))) {
-                continue;
-            }
-            let probe =
-                core.execute_reserved(&mut engine, pruned.lattice_id(dense), pruned.jnts(lattice, dense));
-            if let Some(cell) = owned.take(slot) {
-                match &probe {
-                    Probe::Verdict(alive) => cell.fulfill(*alive),
-                    _ => cell.orphan(),
-                }
-            }
-            outcomes[slot] = Some((dense, probe));
-        }
-
-        if let Some(roles) = &roles {
-            for (slot, role) in roles.iter().enumerate() {
-                let Role::Follower(cell) = role else { continue };
-                let dense = pending[slot];
-                match cell.wait() {
-                    Some(alive) => {
-                        core.record_coalesced(
-                            pruned.lattice_id(dense),
-                            pruned.jnts(lattice, dense),
-                            alive,
-                        );
-                        ticket.exchange.coalesced.fetch_add(1, Ordering::Relaxed);
-                        outcomes[slot] = Some((dense, Probe::Verdict(alive)));
-                    }
-                    None => {
-                        let probe = core.execute_reserved(
-                            &mut engine,
-                            pruned.lattice_id(dense),
-                            pruned.jnts(lattice, dense),
-                        );
-                        outcomes[slot] = Some((dense, probe));
-                    }
-                }
-            }
-        }
-
-        for outcome in outcomes.into_iter() {
-            let (dense, probe) = outcome.expect("every pending slot completes");
-            match probe {
-                Probe::Verdict(alive) => {
-                    if frontier.is_unknown(dense) {
-                        frontier.apply(dense, alive, &core.metrics);
-                    } else {
-                        core.metrics.inference_suppressed_probes.incr();
-                    }
-                }
-                Probe::NodeFailed(e) if e.is_fault() => frontier.abandon(dense),
-                Probe::NodeFailed(e) => {
-                    failure = Some(e.into());
-                    break 'traversal;
-                }
-                Probe::Exhausted(_) => stop_after_wave = true,
-            }
-        }
-        if stop_after_wave {
-            frontier.exhaust();
-            break;
-        }
+impl ProbeExecutor for Exchange<'_, '_, '_> {
+    fn begin_wave(&mut self) {
+        let members = self.ticket.group.members.load(Ordering::Relaxed);
+        self.parks = members >= self.ticket.exchange.config.min_sessions;
+        self.inner.begin_wave();
     }
 
-    let stats = engine.stats().clone();
-    oracle.absorb_stats(&stats);
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(()),
+    fn submit(&mut self, slot: usize, dense: usize) -> Option<Probe> {
+        if !self.parks {
+            return self.inner.submit(slot, dense);
+        }
+        debug_assert_eq!(slot, self.pending.len());
+        self.pending.push(dense);
+        None
+    }
+
+    fn finish_wave(&mut self, deliver: &mut dyn FnMut(usize, Probe)) {
+        let pending = std::mem::take(&mut self.pending);
+        if pending.is_empty() {
+            return self.inner.finish_wave(deliver);
+        }
+        let (ctx, exchange) = (self.ctx, &self.ticket.exchange);
+        let keys: Vec<Vec<u8>> = pending
+            .iter()
+            .map(|&dense| ctx.core.exchange_key(ctx.jnts(dense), &mut |kw| exchange.intern(kw)))
+            .collect();
+        // No roles: the group shrank below `min_sessions` before parking,
+        // so every probe is this session's own.
+        let roles = self.ticket.park(&keys).unwrap_or_default();
+        if !roles.is_empty() {
+            ctx.core.metrics.batched_waves.incr();
+        }
+        // Take custody of every owned cell before the first execution, so
+        // an unwind mid-wave orphans the not-yet-published remainder.
+        let mut owned = OwnedCells { cells: HashMap::new() };
+        for (slot, role) in roles.iter().enumerate() {
+            if let Role::Owner(cell) = role {
+                owned.cells.insert(slot, cell.clone());
+            }
+        }
+        // Run every probe this session owns and publish each verdict as it
+        // lands — all before waiting on any follower cell, which is what
+        // makes the exchange deadlock-free.
+        let mut publish = |slot: usize, probe: Probe| {
+            owned.publish(slot, &probe);
+            deliver(slot, probe);
+        };
+        for (slot, &dense) in pending.iter().enumerate() {
+            if matches!(roles.get(slot), Some(Role::Follower(_))) {
+                continue;
+            }
+            if let Some(probe) = self.inner.submit(slot, dense) {
+                publish(slot, probe);
+            }
+        }
+        self.inner.finish_wave(&mut publish);
+        // Collect follower verdicts; an orphaned cell re-runs on the inner
+        // executor (the budget slot reserved for it still stands).
+        for (slot, role) in roles.iter().enumerate() {
+            let Role::Follower(cell) = role else { continue };
+            let dense = pending[slot];
+            match cell.wait() {
+                Some(alive) => {
+                    ctx.core.record_coalesced(ctx.node(dense), ctx.jnts(dense), alive);
+                    exchange.coalesced.fetch_add(1, Ordering::Relaxed);
+                    deliver(slot, Probe::Verdict(alive));
+                }
+                None => {
+                    if let Some(probe) = self.inner.submit(slot, dense) {
+                        deliver(slot, probe);
+                    }
+                }
+            }
+        }
+        self.inner.finish_wave(deliver);
     }
 }
 

@@ -59,9 +59,9 @@ pub struct DebugConfig {
     /// Each interpretation's oracle wraps its executor in a
     /// [`relengine::ChaosExecutor`] with this schedule.
     pub chaos: Option<FaultConfig>,
-    /// Probe threads per traversal (see [`crate::parallel`]). `0` or `1` is
-    /// the sequential driver; any higher count fans each inference-frontier
-    /// wave over that many worker threads. The report is bit-identical
+    /// Probe threads per traversal (see [`crate::parallel`]). `0` or `1`
+    /// probes inline on the oracle's own engine; any higher count fans each
+    /// inference-frontier wave over a pool of that many worker threads. The report is bit-identical
     /// either way — workers only change wall-clock — so this is a pure
     /// throughput knob for disk/remote-bound probe workloads.
     pub workers: usize,
@@ -327,7 +327,7 @@ pub struct NonAnswerDebugger {
     /// one was attached ([`NonAnswerDebugger::set_wave_exchange`]). Held for
     /// the debugger's lifetime so concurrent peers see the session as a
     /// merge candidate between debug calls, not only during them.
-    /// `None` (the default) keeps every debug call on the unbatched drivers.
+    /// `None` (the default) keeps every debug call unbatched.
     ticket: Option<crate::batch::BatchTicket>,
 }
 

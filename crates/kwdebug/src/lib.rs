@@ -51,7 +51,7 @@
 //! | Experiment instrumentation, §3 | probe/inference counters, phase timings | [`metrics`] |
 //! | Probe budgets / retries (extension) | caps, deadlines, backoff, degraded mode | [`budget`] |
 //! | Fault injection (extension) | deterministic chaos harness for probes | [`relengine::chaos`] |
-//! | Parallel probe scheduling (extension) | work-stealing wave scheduler, sharded memo | [`parallel`] |
+//! | Parallel probe scheduling (extension) | pooled work-stealing probe executor, sharded memo | [`parallel`] |
 //! | Cross-probe evaluation cache (extension) | shared keyword selections, subtree semi-join value-sets | [`evalcache`] |
 //! | Pooled traversal scratch (extension) | reusable per-query workspaces, zero steady-state allocation | [`workspace`] |
 //! | Multi-tenant serving (extension) | shared substrate ([`SharedParts`]), per-session debuggers over TCP | [`debugger`], `kwserve` |

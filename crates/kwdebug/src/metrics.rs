@@ -23,19 +23,19 @@
 //! | `faults_injected` | oracle, fault errors observed (injected or real) | beyond the paper (degraded mode) |
 //! | `probes_abandoned` | oracle, probes given up on (node stays `Unknown`) | beyond the paper (degraded mode) |
 //! | `budget_exhausted` | oracle, [`crate::budget::ProbeBudget`] cap trips | beyond the paper (degraded mode) |
-//! | `workers` | parallel scheduler, pool size per parallel traversal | beyond the paper (parallel probing) |
+//! | `workers` | pooled executor, pool size per traversal it runs; 0 otherwise, batched or not | beyond the paper (parallel probing) |
 //! | `steals` | parallel scheduler, jobs a worker took from another's queue | beyond the paper (parallel probing) |
-//! | `inference_suppressed_probes` | parallel dispatcher, probes answered by the shared memo at dispatch time | beyond the paper (parallel probing) |
+//! | `inference_suppressed_probes` | wave loop, executed verdicts discarded because their node was already classified (structurally 0) | beyond the paper (parallel probing) |
 //! | `phase1_nodes_touched` | debugger, posting-list entries scanned by Phase 1 (DESIGN.md §9) | beyond the paper (compact substrate) |
 //! | `workspace_reuses` | debugger, `PrunedLattice` builds served from the pooled [`crate::workspace::QueryWorkspace`] | beyond the paper (compact substrate) |
 //! | `selection_cache_hits` | oracle, plan nodes served a shared keyword selection by [`crate::evalcache`] | beyond the paper (evaluation cache) |
 //! | `subtree_cache_hits` | oracle, probe subtrees replaced by a cached semi-join value-set | beyond the paper (evaluation cache) |
-//! | `subtree_cache_dead_shortcuts` | oracle/dispatcher, probes answered Dead from an empty cached value-set | beyond the paper (evaluation cache) |
-//! | `verdict_cache_hits` | oracle/dispatcher, probes answered (Alive *or* Dead) from a cached whole-network verdict | beyond the paper (evaluation cache) |
+//! | `subtree_cache_dead_shortcuts` | oracle/wave loop, probes answered Dead from an empty cached value-set | beyond the paper (evaluation cache) |
+//! | `verdict_cache_hits` | oracle/wave loop, probes answered (Alive *or* Dead) from a cached whole-network verdict | beyond the paper (evaluation cache) |
 //! | `cache_bytes` | oracle, payload bytes resident in the session [`crate::evalcache::EvalCache`] | beyond the paper (evaluation cache) |
 //! | `delta_postings_merged` | oracle, bound plan nodes whose posting list was merged on read over pending index deltas | beyond the paper (mutable databases) |
-//! | `batched_waves` | batched dispatcher, waves this session parked in a [`crate::batch::WaveExchange`] | beyond the paper (cross-session batching) |
-//! | `coalesced_probes` | batched dispatcher, probes answered by another session's in-flight execution | beyond the paper (cross-session batching) |
+//! | `batched_waves` | exchange executor, waves this session parked in a [`crate::batch::WaveExchange`] | beyond the paper (cross-session batching) |
+//! | `coalesced_probes` | exchange executor, probes answered by another session's in-flight execution | beyond the paper (cross-session batching) |
 //! | `epoch` | debugger, gauge of the session's pinned database write epoch | beyond the paper (mutable databases) |
 //! | `entries_invalidated` | debugger, gauge of cache entries evicted by write-delta invalidation | beyond the paper (mutable databases) |
 //! | `compactions` | debugger, gauge of the index's delta-postings compactions | beyond the paper (mutable databases) |
@@ -168,17 +168,16 @@ pub struct Metrics {
     /// Times a [`crate::budget::ProbeBudget`] cap tripped (at most once per
     /// oracle — budgets are sticky).
     pub budget_exhausted: Counter,
-    /// Worker threads used by [`crate::parallel`] traversals (the pool size,
-    /// summed per parallel traversal); 0 on sequential runs.
+    /// Worker threads of the pooled executor ([`crate::parallel`]): the pool
+    /// size, summed per traversal it runs; 0 otherwise, batched or not.
     pub workers: Counter,
     /// Jobs a parallel worker stole from another worker's queue; 0 on
     /// sequential runs (and scheduling-dependent, so never compared exactly).
     pub steals: Counter,
-    /// Probes the parallel dispatcher never issued because the sharded memo
-    /// already held a verdict at dispatch time — cross-thread suppression the
-    /// sequential engine counts as plain `memo_hits`. Always 0 on sequential
-    /// runs; in parallel runs every such event also counts one `memo_hits`,
-    /// keeping the memo accounting comparable across modes.
+    /// Executed verdicts the wave loop discarded because their node was
+    /// already classified when the verdict was applied — possible only if a
+    /// strategy's wave broke the wave-independence invariant (DESIGN.md §8),
+    /// so structurally 0 under every executor.
     pub inference_suppressed_probes: Counter,
     /// Posting-list entries scanned by the postings-based Phase 1 (union of
     /// unbound copies + bound-copy intersection; see `DESIGN.md` §9). A proxy
@@ -365,12 +364,12 @@ pub struct ProbeCounters {
     pub probes_abandoned: u64,
     /// Budget caps tripped.
     pub budget_exhausted: u64,
-    /// Parallel worker threads used (0 on sequential runs).
+    /// Pooled-executor worker threads (0 unless the pool ran).
     pub workers: u64,
     /// Jobs stolen between parallel workers (0 on sequential runs).
     pub steals: u64,
-    /// Probes suppressed by the parallel dispatcher's memo pre-check
-    /// (0 on sequential runs).
+    /// Executed verdicts discarded for already-classified nodes
+    /// (structurally 0).
     pub inference_suppressed_probes: u64,
     /// Posting-list entries scanned by Phase 1.
     pub phase1_nodes_touched: u64,

@@ -187,7 +187,7 @@ impl<'a> ProbeEngine<'a> {
         }
     }
 
-    fn absorb_stats(&mut self, other: &ExecStats) {
+    pub(crate) fn absorb_stats(&mut self, other: &ExecStats) {
         match self {
             ProbeEngine::Plain(e) => e.absorb_stats(other),
             ProbeEngine::Chaos(c) => c.absorb_stats(other),
@@ -648,7 +648,7 @@ impl<'a> ProbeCore<'a> {
     /// emptiness check under retry, bookkeeping, memo insert. A failed
     /// execution returns the slot — failed attempts never count against the
     /// budget. This is the worker-side half of a probe; reservation (and the
-    /// memo pre-check) belongs to the caller so a dispatcher can keep both
+    /// memo pre-check) belongs to the caller so the wave loop can keep both
     /// in deterministic order.
     pub(crate) fn execute_reserved(
         &self,
@@ -781,7 +781,7 @@ impl<'a> ProbeCore<'a> {
     /// `p_a`, verdict-cache publish — but counts `coalesced_probes` instead
     /// of `probes_executed` (the accounting twin of a memo hit), keeping the
     /// `probes_executed == ExecStats::queries` invariant intact. The budget
-    /// slot the dispatcher reserved for this probe stays consumed, exactly
+    /// slot the wave loop reserved for this probe stays consumed, exactly
     /// as if the probe had executed, so budget-cut partials match unbatched
     /// runs.
     pub(crate) fn record_coalesced(&self, node: NodeId, jnts: &Jnts, alive: bool) {
@@ -1028,15 +1028,12 @@ impl<'a> AlivenessOracle<'a> {
         self.core.db
     }
 
-    /// The shared probe backend, for the parallel scheduler.
-    pub(crate) fn core(&self) -> &ProbeCore<'a> {
-        &self.core
-    }
-
-    /// Folds a worker engine's statistics into this oracle's engine, so
-    /// `stats()`/`queries()` cover the whole pool after a parallel run.
-    pub(crate) fn absorb_stats(&mut self, stats: &ExecStats) {
-        self.engine.absorb_stats(stats);
+    /// The shared probe backend and this oracle's own engine, borrowed
+    /// apart for the traversal's wave loop: inline probes run on the
+    /// engine, and a worker pool folds its engines' statistics into it so
+    /// `stats()`/`queries()` cover every probe of the traversal.
+    pub(crate) fn split(&mut self) -> (&ProbeCore<'a>, &mut ProbeEngine<'a>) {
+        (&self.core, &mut self.engine)
     }
 }
 

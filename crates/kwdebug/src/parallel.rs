@@ -1,34 +1,32 @@
-//! Work-stealing parallel probe scheduler with a shared concurrent memo.
+//! Work-stealing parallel probe executor with a shared concurrent memo.
 //!
 //! EMBANKS probes are embarrassingly parallel *within* an inference
 //! frontier: two nodes on the same lattice level are never
 //! ancestor/descendant of each other, so neither's verdict can classify the
 //! other through rule R1 or R2 — their probes commute. This module exploits
 //! exactly that slack and nothing more: traversal strategies emit *waves* of
-//! independent nodes (the crate-internal `Frontier` trait in
-//! [`crate::traversal`]), the scheduler
-//! fans each wave over a fixed pool of worker threads, and all verdicts flow
-//! back to the dispatcher, which applies R1/R2 inference centrally. Between
-//! waves the world is sequential again, which is what makes the output —
-//! the [`crate::report::DebugReport`], every probe counter, even the probe
-//! *order-sensitive* counters like `memo_hits` — bit-identical to the
-//! sequential traversal on every seed.
+//! independent nodes, the traversal's one wave loop reserves each probe in
+//! visit order and submits it to the *pooled executor* here, which fans the
+//! wave over a fixed pool of worker threads and hands every verdict back to
+//! the loop. The loop applies R1/R2 inference centrally, in slot order, once
+//! the wave drains. Between waves the world is sequential again, which is
+//! what makes the output — the [`crate::report::DebugReport`] and every
+//! probe counter, even order-sensitive ones like `memo_hits` — the same as
+//! the inline executor's under probe-count budgets.
 //!
 //! See DESIGN.md §8 ("Concurrency model") for the full invariant catalog;
 //! the short form:
 //!
 //! * **Wave independence** — a wave only ever contains nodes no verdict in
-//!   the same wave could classify. Strategies, not the scheduler, are
+//!   the same wave could classify. Strategies, not the executor, are
 //!   responsible for this (it is a property of their emission order).
-//! * **Deterministic accounting** — the dispatcher walks each wave in
-//!   sequential visit order, consulting the memo and reserving budget slots
-//!   *before* handing work to threads; workers only execute
-//!   already-reserved probes. Counter totals therefore match the sequential
-//!   run even when the budget runs dry mid-wave.
-//! * **Central inference** — workers never touch traversal state; the
-//!   dispatcher applies verdicts (and R1/R2 closure) after the wave drains.
-//!   A verdict that arrives for a node the memo meanwhile answered is
-//!   counted in `inference_suppressed_probes` rather than double-applied.
+//! * **Deterministic accounting** — the wave loop consults the memo and
+//!   reserves budget slots in visit order *before* submitting; workers only
+//!   execute already-reserved probes. A whole wave is reserved before any
+//!   of it executes, so a tuple cap (checked at reservation) can trip later
+//!   here than inline; probe-count caps trip at the same node.
+//! * **Central inference** — workers never touch traversal state; the loop
+//!   applies verdicts (and R1/R2 closure) after the wave drains.
 //!
 //! The pool uses plain [`std::thread`] scoped threads — no dependencies —
 //! with one deque per worker: owners pop from the front, idle workers steal
@@ -37,16 +35,14 @@
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 use relengine::ExecStats;
 
-use crate::error::KwError;
-use crate::lattice::{Lattice, NodeId};
+use crate::lattice::NodeId;
 use crate::metrics::Metrics;
-use crate::oracle::{AlivenessOracle, Probe};
-use crate::prune::PrunedLattice;
-use crate::traversal::Frontier;
+use crate::oracle::{Probe, ProbeEngine};
+use crate::traversal::{ProbeCtx, ProbeExecutor};
 
 /// Number of lock stripes in a [`ShardedMemo`]. Power of two so the shard
 /// of a node is a mask away; 16 stripes keeps contention negligible for any
@@ -104,23 +100,20 @@ impl Default for ShardedMemo {
 }
 
 /// One probe handed to the pool: which wave slot it fills and which dense
-/// node to execute. The budget slot is already reserved by the dispatcher.
-/// Shared with [`crate::batch`], whose driver dispatches the same way.
-pub(crate) struct Job {
-    /// Index into the wave's completion table (dispatch order).
-    pub(crate) slot: usize,
-    pub(crate) dense: usize,
+/// node to execute. The budget slot is already reserved by the wave loop.
+struct Job {
+    slot: usize,
+    dense: usize,
 }
 
 /// A worker's answer for one job.
-pub(crate) struct Completion {
-    pub(crate) slot: usize,
-    pub(crate) dense: usize,
-    pub(crate) probe: Probe,
+struct Completion {
+    slot: usize,
+    probe: Probe,
 }
 
 /// Shared pool state: per-worker job deques plus a pending/shutdown latch.
-pub(crate) struct PoolState {
+struct PoolState {
     queues: Vec<Mutex<VecDeque<Job>>>,
     latch: Mutex<Latch>,
     wake: Condvar,
@@ -133,7 +126,7 @@ struct Latch {
 }
 
 impl PoolState {
-    pub(crate) fn new(workers: usize) -> PoolState {
+    fn new(workers: usize) -> PoolState {
         PoolState {
             queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             latch: Mutex::new(Latch { pending: 0, shutdown: false }),
@@ -142,7 +135,7 @@ impl PoolState {
     }
 
     /// Pushes a job onto worker `w`'s deque and wakes a sleeper.
-    pub(crate) fn push(&self, w: usize, job: Job) {
+    fn push(&self, w: usize, job: Job) {
         // Increment `pending` BEFORE the job becomes visible in a deque: a
         // worker that claims it decrements immediately, and claiming can
         // only happen after the push, so the counter can never underflow.
@@ -155,8 +148,8 @@ impl PoolState {
 
     /// Takes the next job for worker `w`: own deque front first, then steal
     /// from the back of another worker's deque, else sleep until work or
-    /// shutdown. Returns `(job, stolen)`; `None` means shutdown.
-    pub(crate) fn take(&self, w: usize, metrics: &Metrics) -> Option<Job> {
+    /// shutdown. `None` means shutdown.
+    fn take(&self, w: usize, metrics: &Metrics) -> Option<Job> {
         loop {
             if let Some(job) = self.queues[w].lock().unwrap().pop_front() {
                 self.decr_pending();
@@ -187,46 +180,62 @@ impl PoolState {
         latch.pending -= 1;
     }
 
-    pub(crate) fn shutdown(&self) {
-        self.latch.lock().unwrap().shutdown = true;
+    /// Tells every worker to exit. Runs from `Drop`, so a poisoned latch is
+    /// recovered rather than panicked on; raising the flag is valid in any
+    /// state.
+    fn shutdown(&self) {
+        self.latch.lock().unwrap_or_else(PoisonError::into_inner).shutdown = true;
         self.wake.notify_all();
     }
 }
 
-/// Runs a strategy's probe waves over `workers` threads, driving `frontier`
-/// exactly as the sequential driver would. Returns when the frontier is
-/// done or the budget trips; the caller converts the frontier into the
-/// classification.
-///
-/// The dispatcher (the calling thread) owns all traversal state. Per wave
-/// it walks the emitted nodes in sequential visit order and, per node:
-///
-/// 1. already classified → `reuse_hits` (same as sequential);
-/// 2. memoized verdict → `memo_hits` + immediate apply (same as sequential);
-/// 3. otherwise reserve a budget slot and enqueue the probe. A refusal ends
-///    the wave *and* the traversal at exactly the node where the sequential
-///    run would have stopped.
-///
-/// Verdicts are applied in dispatch order after the wave drains, so R1/R2
-/// inference (order-independent within a wave — each status cell flips away
-/// from `Unknown` at most once, and wave members classify only non-members)
-/// lands on identical state and identical counter totals.
-pub(crate) fn run_waves(
-    lattice: &Lattice,
-    pruned: &PrunedLattice,
-    oracle: &mut AlivenessOracle<'_>,
-    frontier: &mut dyn Frontier,
-    workers: usize,
-) -> Result<(), KwError> {
-    let workers = workers.max(1);
-    let core = oracle.core();
-    core.metrics.workers.add(workers as u64);
+/// The pooled executor: submits go round-robin onto the worker deques and
+/// `finish_wave` blocks until every one of them has completed.
+struct Pooled<'p> {
+    pool: &'p PoolState,
+    done: mpsc::Receiver<Completion>,
+    next_worker: usize,
+    in_flight: usize,
+}
 
+impl ProbeExecutor for Pooled<'_> {
+    fn submit(&mut self, slot: usize, dense: usize) -> Option<Probe> {
+        self.pool.push(self.next_worker, Job { slot, dense });
+        self.next_worker = (self.next_worker + 1) % self.pool.queues.len();
+        self.in_flight += 1;
+        None
+    }
+
+    fn finish_wave(&mut self, deliver: &mut dyn FnMut(usize, Probe)) {
+        for _ in 0..std::mem::take(&mut self.in_flight) {
+            let c = self.done.recv().expect("worker pool hung up mid-wave");
+            deliver(c.slot, c.probe);
+        }
+    }
+}
+
+impl Drop for Pooled<'_> {
+    /// Releases the workers however the traversal ended — an unwinding
+    /// panic included — so the scope that joins them can never hang.
+    fn drop(&mut self) {
+        self.pool.shutdown();
+    }
+}
+
+/// Runs `body` with a pooled executor of `workers` threads, each probing on
+/// its own engine, then folds every worker engine's statistics into
+/// `engine` (the oracle's own) so its query count covers the pool.
+pub(crate) fn with_pool<R>(
+    ctx: ProbeCtx<'_, '_>,
+    engine: &mut ProbeEngine<'_>,
+    workers: usize,
+    body: impl FnOnce(&mut dyn ProbeExecutor) -> R,
+) -> R {
+    let core = ctx.core;
+    core.metrics.workers.add(workers as u64);
     let pool = PoolState::new(workers);
     let (done_tx, done_rx) = mpsc::channel::<Completion>();
-
-    let mut failure: Option<KwError> = None;
-    let worker_stats: Vec<ExecStats> = std::thread::scope(|scope| {
+    let (result, worker_stats) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let pool = &pool;
@@ -234,13 +243,8 @@ pub(crate) fn run_waves(
                 scope.spawn(move || {
                     let mut engine = core.make_engine(w as u64);
                     while let Some(job) = pool.take(w, &core.metrics) {
-                        let node = pruned.lattice_id(job.dense);
-                        let jnts = pruned.jnts(lattice, job.dense);
-                        let probe = core.execute_reserved(&mut engine, node, jnts);
-                        if done
-                            .send(Completion { slot: job.slot, dense: job.dense, probe })
-                            .is_err()
-                        {
+                        let probe = ctx.execute(&mut engine, job.dense);
+                        if done.send(Completion { slot: job.slot, probe }).is_err() {
                             break;
                         }
                     }
@@ -249,95 +253,17 @@ pub(crate) fn run_waves(
             })
             .collect();
         drop(done_tx);
-
-        let mut wave = Vec::new();
-        let mut next_worker = 0usize;
-        'traversal: loop {
-            wave.clear();
-            frontier.next_wave(&mut wave);
-            if wave.is_empty() {
-                break;
-            }
-            // Dispatch in sequential visit order; collect completions by slot.
-            let mut dispatched = 0usize;
-            let mut outcomes: Vec<Option<(usize, Probe)>> = Vec::with_capacity(wave.len());
-            let mut stop_after_wave = false;
-            for &dense in wave.iter() {
-                if !frontier.is_unknown(dense) {
-                    core.metrics.reuse_hits.incr();
-                    continue;
-                }
-                if let Some(alive) = core.verdict_if_known(pruned.lattice_id(dense)) {
-                    core.metrics.memo_hits.incr();
-                    frontier.apply(dense, alive, &core.metrics);
-                    continue;
-                }
-                // A cached whole-network verdict or an empty cached cut
-                // value-set answers the node right at dispatch, like a memo
-                // hit: no budget slot, no engine.
-                if let Some(alive) =
-                    core.shortcut(pruned.lattice_id(dense), pruned.jnts(lattice, dense))
-                {
-                    frontier.apply(dense, alive, &core.metrics);
-                    continue;
-                }
-                if core.try_reserve().is_err() {
-                    stop_after_wave = true;
-                    break;
-                }
-                let slot = outcomes.len();
-                outcomes.push(None);
-                pool.push(next_worker, Job { slot, dense });
-                next_worker = (next_worker + 1) % workers;
-                dispatched += 1;
-            }
-            for _ in 0..dispatched {
-                let c = done_rx.recv().expect("worker pool hung up mid-wave");
-                outcomes[c.slot] = Some((c.dense, c.probe));
-            }
-            // Apply in dispatch (= sequential visit) order.
-            for outcome in outcomes.into_iter() {
-                let (dense, probe) = outcome.expect("every dispatched slot completes");
-                match probe {
-                    Probe::Verdict(alive) => {
-                        if frontier.is_unknown(dense) {
-                            frontier.apply(dense, alive, &core.metrics);
-                        } else {
-                            // A verdict classified this node while its own
-                            // probe was in flight (possible only if a wave
-                            // breaks the independence invariant). The probe
-                            // executed — and was counted — anyway; record
-                            // the work inference would have saved.
-                            core.metrics.inference_suppressed_probes.incr();
-                        }
-                    }
-                    Probe::NodeFailed(e) if e.is_fault() => frontier.abandon(dense),
-                    Probe::NodeFailed(e) => {
-                        // An invalid plan is a bug, not degradation — it
-                        // propagates hard, exactly like the sequential
-                        // driver's probe() helper.
-                        failure = Some(e.into());
-                        break 'traversal;
-                    }
-                    Probe::Exhausted(_) => stop_after_wave = true,
-                }
-            }
-            if stop_after_wave {
-                frontier.exhaust();
-                break;
-            }
-        }
-        pool.shutdown();
-        handles.into_iter().map(|h| h.join().expect("probe worker panicked")).collect()
+        let mut exec = Pooled { pool: &pool, done: done_rx, next_worker: 0, in_flight: 0 };
+        let result = body(&mut exec);
+        drop(exec);
+        let stats: Vec<ExecStats> =
+            handles.into_iter().map(|h| h.join().expect("probe worker panicked")).collect();
+        (result, stats)
     });
-
     for stats in &worker_stats {
-        oracle.absorb_stats(stats);
+        engine.absorb_stats(stats);
     }
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    result
 }
 
 #[cfg(test)]

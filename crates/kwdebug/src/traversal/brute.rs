@@ -10,7 +10,7 @@
 //!
 //! As a [`Frontier`], brute force emits one single wave holding every dense
 //! node in order: with no inference rules, every node is independent of
-//! every other, making it the best-case workload for the parallel driver.
+//! every other, making it the best-case workload for the pooled executor.
 //!
 //! Degraded mode: an abandoned node simply stays unknown; budget exhaustion
 //! stops the scan and everything unvisited stays unknown.
@@ -42,7 +42,7 @@ impl Frontier for BruteFrontier<'_> {
 
     fn is_unknown(&self, n: usize) -> bool {
         // No inference: a node is only classified by its own probe, so every
-        // node is still unknown when the driver reaches it.
+        // node is still unknown when the wave loop reaches it.
         self.status[n] == Status::Unknown
     }
 

@@ -15,7 +15,7 @@
 //! Metrics recorded (see [`crate::metrics`]): each visit skipped because the
 //! shared status map already classified the node is one `reuse_hits` — the
 //! cross-MTN sharing Figure 13 quantifies — and each ancestor newly killed by
-//! R2 is one `r2_inferences`. The driver consults memoized verdicts before
+//! R2 is one `r2_inferences`. The wave loop consults memoized verdicts before
 //! the budget ([`crate::oracle::AlivenessOracle::verdict_if_known`]), so
 //! cached nodes never touch it. Like BU, the ascending order never fires R1.
 //!

@@ -50,22 +50,23 @@
 //! On a complete run both `unknown_mtns` and every `possible_mpans` entry
 //! are empty and the outcome is exactly the happy-path one.
 //!
-//! ## Wave emission and the parallel scheduler
+//! ## Waves, the wave loop and executors
 //!
 //! Every strategy is implemented as a `Frontier`: a state machine that
 //! *emits* batches ("waves") of dense nodes to probe instead of probing
 //! them itself. A wave's nodes are mutually independent — no verdict inside
 //! the wave can classify another wave member through R1/R2 (for the
 //! order-based strategies this falls out of level structure: same-level
-//! nodes are never ancestor/descendant of each other). One driver loop
-//! walks each wave in the strategy's visit order and handles the per-node
-//! protocol (reuse check → memo check → budget → probe → apply); the
-//! sequential driver lives here ([`run`]), the multi-threaded one in
-//! [`crate::parallel`] ([`run_with_workers`] with `workers > 1`). Because
-//! both drivers share the per-node protocol and the wave order, the
-//! parallel traversal produces bit-identical classifications, MPAN sets
-//! *and probe counters* — strategies stay single-threaded state machines
-//! and never need locks.
+//! nodes are never ancestor/descendant of each other). One wave loop walks
+//! each wave in the strategy's visit order and owns the per-node protocol
+//! (reuse check → memo check → cache shortcut → budget → submit, then apply
+//! in slot order). Only *where* a reserved probe runs varies, behind a
+//! crate-private `ProbeExecutor`: inline on the oracle's own engine, on the
+//! work-stealing pool of [`crate::parallel`] (`workers > 1`), or through the
+//! cross-session exchange of [`crate::batch`], which wraps either. Because
+//! there is one protocol, every executor produces the same classifications,
+//! MPAN sets *and probe counters* — strategies stay single-threaded state
+//! machines and never need locks.
 
 mod brute;
 mod bu;
@@ -80,9 +81,10 @@ pub use sbh::DEFAULT_PA;
 
 use crate::budget::Exhausted;
 use crate::error::KwError;
-use crate::lattice::Lattice;
+use crate::jnts::Jnts;
+use crate::lattice::{Lattice, NodeId};
 use crate::metrics::{Metrics, ProbeCounters};
-use crate::oracle::{AlivenessOracle, Probe};
+use crate::oracle::{AlivenessOracle, Probe, ProbeCore, ProbeEngine};
 use crate::prune::PrunedLattice;
 
 /// Selects a Phase-3 traversal strategy.
@@ -197,7 +199,8 @@ impl TraversalOutcome {
     }
 }
 
-/// Runs a traversal strategy over a pruned lattice, sequentially.
+/// Runs a traversal strategy over a pruned lattice, one probe at a time on
+/// the oracle's own engine.
 ///
 /// `pa` is the aliveness prior used by [`StrategyKind::ScoreBasedHeuristic`]
 /// (ignored by the others); the paper finds `p_a = 0.5` works well.
@@ -213,8 +216,8 @@ pub fn run(
 
 /// Runs a traversal strategy over a pruned lattice, fanning each probe wave
 /// over `workers` threads when `workers > 1` (see [`crate::parallel`]).
-/// `workers <= 1` is the sequential driver; either way the outcome —
-/// classification, MPAN sets, probe counters — is identical, only
+/// `workers <= 1` probes inline on the oracle's own engine; either way the
+/// outcome — classification, MPAN sets, probe counters — is identical, only
 /// wall-clock changes.
 pub fn run_with_workers(
     kind: StrategyKind,
@@ -228,10 +231,10 @@ pub fn run_with_workers(
 }
 
 /// [`run_with_workers`] with an optional cross-session batching ticket:
-/// when one is held, every wave goes through the batched driver
-/// (`crate::batch::run_batched_waves`) so overlapping probes of concurrent
-/// sessions coalesce in flight. The classification outcome is identical
-/// either way; see the `crate::batch` module docs for the argument.
+/// when one is held, the executor is wrapped in the exchange
+/// (`crate::batch::Exchange`) so overlapping probes of concurrent sessions
+/// coalesce in flight. The classification outcome is identical either way;
+/// see the `crate::batch` module docs for the argument.
 pub(crate) fn run_with_ticket(
     kind: StrategyKind,
     lattice: &Lattice,
@@ -252,12 +255,19 @@ pub(crate) fn run_with_ticket(
         StrategyKind::ScoreBasedHeuristic => Box::new(sbh::SbhFrontier::new(pruned, pa)),
         StrategyKind::BruteForce => Box::new(brute::BruteFrontier::new(pruned)),
     };
-    if let Some(ticket) = ticket {
-        crate::batch::run_batched_waves(lattice, pruned, oracle, frontier.as_mut(), workers, ticket)?;
-    } else if workers > 1 {
-        crate::parallel::run_waves(lattice, pruned, oracle, frontier.as_mut(), workers)?;
+    let (core, engine) = oracle.split();
+    let ctx = ProbeCtx { core, lattice, pruned };
+    let mut drive = |inner: &mut dyn ProbeExecutor| match ticket {
+        Some(ticket) => {
+            let mut exchange = crate::batch::Exchange::new(ctx, ticket, inner);
+            drive_waves(ctx, frontier.as_mut(), &mut exchange)
+        }
+        None => drive_waves(ctx, frontier.as_mut(), inner),
+    };
+    if workers > 1 {
+        crate::parallel::with_pool(ctx, engine, workers, drive)?;
     } else {
-        drive_sequential(lattice, pruned, oracle, frontier.as_mut())?;
+        drive(&mut Inline { ctx, engine })?;
     }
     let classified = frontier.finish();
     Ok(TraversalOutcome {
@@ -275,23 +285,23 @@ pub(crate) fn run_with_ticket(
 
 /// A traversal strategy as a wave-emitting state machine.
 ///
-/// The strategy owns its status bookkeeping and inference rules; a *driver*
-/// (sequential below, multi-threaded in [`crate::parallel`]) owns probing.
-/// Per wave the driver walks the emitted nodes **in emission order** and,
-/// for each node: already classified → count `reuse_hits`; memoized →
-/// count `memo_hits` and [`Frontier::apply`]; otherwise reserve a budget
-/// slot and probe, then [`Frontier::apply`] the verdict. A budget refusal
-/// calls [`Frontier::exhaust`] and ends the traversal.
+/// The strategy owns its status bookkeeping and inference rules; the wave
+/// loop ([`drive_waves`]) owns probing. Per wave the loop walks the emitted
+/// nodes **in emission order** and, for each node: already classified →
+/// count `reuse_hits`; memoized or answered by a cache shortcut →
+/// [`Frontier::apply`] at once; otherwise reserve a budget slot and submit
+/// the probe, then [`Frontier::apply`] the verdicts in slot order. A budget
+/// refusal calls [`Frontier::exhaust`] and ends the traversal.
 ///
 /// Implementations must uphold the **wave-independence invariant**: no
 /// verdict applied for one wave member may classify another member of the
 /// same wave (R1/R2 reach only other levels, so emitting runs of equal
-/// lattice level satisfies this). The drivers rely on it for `reuse_hits`
+/// lattice level satisfies this). The loop relies on it for `reuse_hits`
 /// determinism; DESIGN.md §8 states it formally.
 pub(crate) trait Frontier {
     /// Emits the next wave of nodes in visit order into `out` (cleared by
-    /// the driver). An empty wave means the traversal is complete. Nodes
-    /// already classified at emission time are included — the driver counts
+    /// the loop). An empty wave means the traversal is complete. Nodes
+    /// already classified at emission time are included — the loop counts
     /// them as `reuse_hits` exactly like the sequential sweeps did.
     fn next_wave(&mut self, out: &mut Vec<usize>);
     /// Whether dense node `n` is still unclassified in this strategy's view.
@@ -308,70 +318,137 @@ pub(crate) trait Frontier {
     fn finish(self: Box<Self>) -> Classified;
 }
 
-/// The sequential wave driver: one probe at a time through the oracle's own
-/// engine, per-node protocol identical to [`crate::parallel::run_waves`].
-fn drive_sequential(
-    lattice: &Lattice,
-    pruned: &PrunedLattice,
-    oracle: &mut AlivenessOracle<'_>,
+/// What every executor needs to run the probe of a dense node: the shared
+/// probe backend and the lattice the node indices point into.
+#[derive(Clone, Copy)]
+pub(crate) struct ProbeCtx<'e, 'a> {
+    pub(crate) core: &'e ProbeCore<'a>,
+    lattice: &'e Lattice,
+    pruned: &'e PrunedLattice,
+}
+
+impl<'e, 'a> ProbeCtx<'e, 'a> {
+    pub(crate) fn node(&self, dense: usize) -> NodeId {
+        self.pruned.lattice_id(dense)
+    }
+
+    pub(crate) fn jnts(&self, dense: usize) -> &'e Jnts {
+        self.pruned.jnts(self.lattice, dense)
+    }
+
+    /// Executes the already-reserved probe of `dense` on `engine`.
+    pub(crate) fn execute(&self, engine: &mut ProbeEngine<'a>, dense: usize) -> Probe {
+        self.core.execute_reserved(engine, self.node(dense), self.jnts(dense))
+    }
+}
+
+/// Where the wave loop's reserved probes run. An executor only executes;
+/// the loop keeps memo, shortcut, budget and apply order for itself.
+pub(crate) trait ProbeExecutor {
+    /// A new wave begins; its first submit is slot 0.
+    fn begin_wave(&mut self) {}
+    /// Takes the reserved probe of dense node `dense` for wave slot `slot`.
+    /// Returns its outcome when the probe ran right away, or `None` when it
+    /// is delivered by [`ProbeExecutor::finish_wave`].
+    fn submit(&mut self, slot: usize, dense: usize) -> Option<Probe>;
+    /// Delivers the outcome of every probe of the wave that `submit`
+    /// deferred, as `(slot, probe)` in any order.
+    fn finish_wave(&mut self, deliver: &mut dyn FnMut(usize, Probe));
+}
+
+/// The inline executor: each probe runs on the oracle's own engine at
+/// submit, so a tuple cap, a deadline or a hard error stops dispatch at the
+/// very node that tripped it.
+struct Inline<'e, 'a> {
+    ctx: ProbeCtx<'e, 'a>,
+    engine: &'e mut ProbeEngine<'a>,
+}
+
+impl ProbeExecutor for Inline<'_, '_> {
+    fn submit(&mut self, _slot: usize, dense: usize) -> Option<Probe> {
+        Some(self.ctx.execute(self.engine, dense))
+    }
+
+    fn finish_wave(&mut self, _deliver: &mut dyn FnMut(usize, Probe)) {}
+}
+
+/// The one wave loop behind every strategy and executor. Per wave it walks
+/// the emitted nodes in visit order: reuse, memo, cache shortcut, then a
+/// budget slot and a submit to `exec`. A refused reservation ends dispatch
+/// there, and so does an inline outcome that tripped the budget or failed
+/// hard. Verdicts are then applied in slot (= visit) order, so R1/R2
+/// inference lands on identical state and counters whatever the executor.
+fn drive_waves(
+    ctx: ProbeCtx<'_, '_>,
     frontier: &mut dyn Frontier,
+    exec: &mut dyn ProbeExecutor,
 ) -> Result<(), KwError> {
+    let metrics = &ctx.core.metrics;
     let mut wave = Vec::new();
+    let mut slots: Vec<(usize, Option<Probe>)> = Vec::new();
     loop {
         wave.clear();
         frontier.next_wave(&mut wave);
         if wave.is_empty() {
             return Ok(());
         }
+        exec.begin_wave();
         let mut stop = false;
-        for &n in &wave {
-            if !frontier.is_unknown(n) {
-                oracle.metrics().reuse_hits.incr();
+        for &dense in &wave {
+            if !frontier.is_unknown(dense) {
+                metrics.reuse_hits.incr();
                 continue;
             }
-            // probe() consults the memo before the budget, so memoized
-            // nodes are answered (and counted) even under a tripped cap.
-            match probe(lattice, pruned, oracle, n)? {
-                ProbeOutcome::Verdict(alive) => frontier.apply(n, alive, oracle.metrics()),
-                ProbeOutcome::Abandoned => frontier.abandon(n),
-                ProbeOutcome::Exhausted => {
-                    stop = true;
-                    break;
+            // The memo is consulted before the budget, so memoized nodes are
+            // answered (and counted) even under a tripped cap.
+            if let Some(alive) = ctx.core.verdict_if_known(ctx.node(dense)) {
+                metrics.memo_hits.incr();
+                frontier.apply(dense, alive, metrics);
+                continue;
+            }
+            // A cached whole-network verdict or an empty cached cut
+            // value-set answers the node like a memo hit: no budget slot,
+            // no engine.
+            if let Some(alive) = ctx.core.shortcut(ctx.node(dense), ctx.jnts(dense)) {
+                frontier.apply(dense, alive, metrics);
+                continue;
+            }
+            if ctx.core.try_reserve().is_err() {
+                stop = true;
+                break;
+            }
+            let probe = exec.submit(slots.len(), dense);
+            let halt = match &probe {
+                Some(Probe::Exhausted(_)) => true,
+                Some(Probe::NodeFailed(e)) => !e.is_fault(),
+                _ => false,
+            };
+            slots.push((dense, probe));
+            if halt {
+                break;
+            }
+        }
+        exec.finish_wave(&mut |slot, probe| slots[slot].1 = Some(probe));
+        for (dense, probe) in slots.drain(..) {
+            match probe.expect("every submitted probe completes") {
+                Probe::Verdict(alive) if frontier.is_unknown(dense) => {
+                    frontier.apply(dense, alive, metrics)
                 }
+                // A verdict classified this node while its own probe was in
+                // flight (possible only if a wave breaks the independence
+                // invariant). The probe executed — and was counted — anyway;
+                // record the work inference would have saved.
+                Probe::Verdict(_) => metrics.inference_suppressed_probes.incr(),
+                Probe::NodeFailed(e) if e.is_fault() => frontier.abandon(dense),
+                // An invalid plan is a bug, not degradation: it propagates.
+                Probe::NodeFailed(e) => return Err(e.into()),
+                Probe::Exhausted(_) => stop = true,
             }
         }
         if stop {
             frontier.exhaust();
             return Ok(());
         }
-    }
-}
-
-/// The outcome of probing one dense node, as seen by a strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ProbeOutcome {
-    /// The node's aliveness is known.
-    Verdict(bool),
-    /// This node's probe failed permanently; skip it and keep traversing.
-    Abandoned,
-    /// The probe budget tripped; stop probing altogether.
-    Exhausted,
-}
-
-/// Probes the aliveness of dense node `n` through the oracle, translating
-/// degraded-mode outcomes for strategies. Injected faults degrade; any other
-/// engine error (an invalid plan — a bug) still propagates hard.
-pub(crate) fn probe(
-    lattice: &Lattice,
-    pruned: &PrunedLattice,
-    oracle: &mut AlivenessOracle<'_>,
-    n: usize,
-) -> Result<ProbeOutcome, KwError> {
-    match oracle.probe(pruned.lattice_id(n), pruned.jnts(lattice, n)) {
-        Probe::Verdict(alive) => Ok(ProbeOutcome::Verdict(alive)),
-        Probe::NodeFailed(e) if e.is_fault() => Ok(ProbeOutcome::Abandoned),
-        Probe::NodeFailed(e) => Err(e.into()),
-        Probe::Exhausted(_) => Ok(ProbeOutcome::Exhausted),
     }
 }
 
@@ -472,7 +549,6 @@ pub(crate) fn outcome_from_global_status(pruned: &PrunedLattice, status: &[Statu
 mod tests {
     use super::*;
     use crate::binding::{map_keywords, KeywordQuery};
-    use crate::oracle::AlivenessOracle;
     use crate::schema_graph::SchemaGraph;
     use relengine::{DataType, Database, DatabaseBuilder, Value};
     use textindex::InvertedIndex;
@@ -587,6 +663,208 @@ mod tests {
         // Strategy display names.
         assert_eq!(StrategyKind::BottomUp.to_string(), "BU");
         assert_eq!(StrategyKind::ScoreBasedHeuristic.name(), "SBH");
+    }
+
+    /// A frontier that emits scripted waves and logs what the loop does to it.
+    #[derive(Default)]
+    struct ScriptedFrontier {
+        waves: std::collections::VecDeque<Vec<usize>>,
+        waves_emitted: usize,
+        applied: Vec<(usize, bool)>,
+        abandoned: Vec<usize>,
+        exhausts: usize,
+    }
+
+    impl ScriptedFrontier {
+        fn new(waves: &[&[usize]]) -> ScriptedFrontier {
+            ScriptedFrontier {
+                waves: waves.iter().map(|w| w.to_vec()).collect(),
+                ..ScriptedFrontier::default()
+            }
+        }
+    }
+
+    impl Frontier for ScriptedFrontier {
+        fn next_wave(&mut self, out: &mut Vec<usize>) {
+            if let Some(w) = self.waves.pop_front() {
+                self.waves_emitted += 1;
+                out.extend(w);
+            }
+        }
+        fn is_unknown(&self, n: usize) -> bool {
+            !self.applied.iter().any(|&(m, _)| m == n)
+        }
+        fn apply(&mut self, n: usize, alive: bool, _metrics: &Metrics) {
+            self.applied.push((n, alive));
+        }
+        fn abandon(&mut self, n: usize) {
+            self.abandoned.push(n);
+        }
+        fn exhaust(&mut self) {
+            self.exhausts += 1;
+        }
+        fn finish(self: Box<Self>) -> Classified {
+            Classified::default()
+        }
+    }
+
+    /// An executor answering from a script: node `n` gets `outcome(n)`,
+    /// either at submit (inline) or, deferred, in reverse submit order.
+    struct ScriptedExecutor {
+        outcome: fn(usize) -> Probe,
+        defer: bool,
+        submitted: Vec<usize>,
+        deferred: Vec<(usize, usize)>,
+    }
+
+    impl ScriptedExecutor {
+        fn new(defer: bool, outcome: fn(usize) -> Probe) -> ScriptedExecutor {
+            ScriptedExecutor { outcome, defer, submitted: Vec::new(), deferred: Vec::new() }
+        }
+    }
+
+    impl ProbeExecutor for ScriptedExecutor {
+        fn submit(&mut self, slot: usize, dense: usize) -> Option<Probe> {
+            self.submitted.push(dense);
+            if self.defer {
+                self.deferred.push((slot, dense));
+                return None;
+            }
+            Some((self.outcome)(dense))
+        }
+        fn finish_wave(&mut self, deliver: &mut dyn FnMut(usize, Probe)) {
+            while let Some((slot, dense)) = self.deferred.pop() {
+                deliver(slot, (self.outcome)(dense));
+            }
+        }
+    }
+
+    /// Drives the scripted frontier over "blue candle" with `exec`.
+    fn drive_scripted(
+        f: &Fixture,
+        oracle: impl FnOnce(AlivenessOracle<'_>) -> AlivenessOracle<'_>,
+        frontier: &mut ScriptedFrontier,
+        exec: &mut ScriptedExecutor,
+    ) -> Result<ProbeCounters, KwError> {
+        let query = KeywordQuery::parse("blue candle").expect("parses");
+        let mapping = map_keywords(&query, &f.index);
+        let interp = &mapping.interpretations[0];
+        let pruned = PrunedLattice::build(&f.lattice, interp);
+        assert!(pruned.len() >= 4, "the script needs four dense nodes");
+        let mut oracle =
+            oracle(AlivenessOracle::new(&f.db, Some(&f.index), interp, &mapping.keywords, true));
+        let (core, _) = oracle.split();
+        let ctx = ProbeCtx { core, lattice: &f.lattice, pruned: &pruned };
+        drive_waves(ctx, frontier, exec)?;
+        Ok(oracle.metrics().snapshot())
+    }
+
+    #[test]
+    fn memo_and_shortcut_hits_never_reach_the_executor() {
+        let f = fixture();
+        let query = KeywordQuery::parse("blue candle").expect("parses");
+        let mapping = map_keywords(&query, &f.index);
+        let interp = &mapping.interpretations[0];
+        let pruned = PrunedLattice::build(&f.lattice, interp);
+        let cache = std::sync::Arc::new(crate::evalcache::EvalCache::new());
+        // Node 1's verdict lands in the shared cache from another oracle;
+        // node 0's lands in this oracle's memo.
+        let kws = &mapping.keywords;
+        let mut peer = AlivenessOracle::new(&f.db, Some(&f.index), interp, kws, false)
+            .with_eval_cache(cache.clone());
+        let truth1 = peer.is_alive(pruned.lattice_id(1), pruned.jnts(&f.lattice, 1)).unwrap();
+        let mut oracle = AlivenessOracle::new(&f.db, Some(&f.index), interp, kws, true)
+            .with_eval_cache(cache);
+        let truth0 = oracle.is_alive(pruned.lattice_id(0), pruned.jnts(&f.lattice, 0)).unwrap();
+        let m0 = oracle.metrics().snapshot();
+
+        let mut frontier = ScriptedFrontier::new(&[&[0, 1, 2]]);
+        let mut exec = ScriptedExecutor::new(false, |_| Probe::Verdict(true));
+        let (core, _) = oracle.split();
+        let ctx = ProbeCtx { core, lattice: &f.lattice, pruned: &pruned };
+        drive_waves(ctx, &mut frontier, &mut exec).expect("loop runs");
+        let d = oracle.metrics().snapshot().delta(m0);
+        assert_eq!(d.memo_hits, 1);
+        assert_eq!(d.verdict_cache_hits, 1);
+        assert!(!exec.submitted.iter().any(|&n| n < 2), "{:?}", exec.submitted);
+        assert!(frontier.applied.contains(&(0, truth0)));
+        assert!(frontier.applied.contains(&(1, truth1)));
+        assert_eq!(frontier.applied.len(), 3);
+    }
+
+    #[test]
+    fn deferred_verdicts_apply_in_slot_order() {
+        let f = fixture();
+        let mut frontier = ScriptedFrontier::new(&[&[2, 0, 3], &[1]]);
+        let mut exec = ScriptedExecutor::new(true, |n| Probe::Verdict(n % 2 == 0));
+        drive_scripted(&f, |o| o, &mut frontier, &mut exec).expect("loop runs");
+        assert_eq!(exec.submitted, [2, 0, 3, 1]);
+        assert_eq!(frontier.applied, [(2, true), (0, true), (3, false), (1, false)]);
+        assert_eq!(frontier.exhausts, 0);
+    }
+
+    #[test]
+    fn exhaustion_exhausts_once_and_no_wave_follows() {
+        let f = fixture();
+        let exhausted = |n| match n {
+            0 => Probe::Exhausted(Exhausted::Tuples),
+            _ => Probe::Verdict(true),
+        };
+        // Inline: dispatch halts at the node that tripped.
+        let mut frontier = ScriptedFrontier::new(&[&[2, 0, 3], &[1]]);
+        let mut exec = ScriptedExecutor::new(false, exhausted);
+        drive_scripted(&f, |o| o, &mut frontier, &mut exec).expect("loop runs");
+        assert_eq!(exec.submitted, [2, 0]);
+        assert_eq!(frontier.applied, [(2, true)]);
+        assert_eq!((frontier.exhausts, frontier.waves_emitted), (1, 1));
+        // Deferred: the rest of the wave is already submitted and applied.
+        let mut frontier = ScriptedFrontier::new(&[&[2, 0, 3], &[1]]);
+        let mut exec = ScriptedExecutor::new(true, exhausted);
+        drive_scripted(&f, |o| o, &mut frontier, &mut exec).expect("loop runs");
+        assert_eq!(frontier.applied, [(2, true), (3, true)]);
+        assert_eq!((frontier.exhausts, frontier.waves_emitted), (1, 1));
+        // A refused reservation ends dispatch before the executor sees it.
+        let mut frontier = ScriptedFrontier::new(&[&[2, 0, 3], &[1]]);
+        let mut exec = ScriptedExecutor::new(false, |_| Probe::Verdict(true));
+        let budget = crate::budget::ProbeBudget::probes(1);
+        let m = drive_scripted(&f, |o| o.with_budget(budget), &mut frontier, &mut exec)
+            .expect("loop runs");
+        assert_eq!(exec.submitted, [2]);
+        assert_eq!((frontier.exhausts, frontier.waves_emitted, m.budget_exhausted), (1, 1, 1));
+    }
+
+    #[test]
+    fn a_fault_abandons_the_node_and_traversal_goes_on() {
+        let f = fixture();
+        for defer in [false, true] {
+            let mut frontier = ScriptedFrontier::new(&[&[2, 0, 3], &[1]]);
+            let mut exec = ScriptedExecutor::new(defer, |n| match n {
+                0 => Probe::NodeFailed(relengine::EngineError::Failed("injected".into())),
+                _ => Probe::Verdict(false),
+            });
+            drive_scripted(&f, |o| o, &mut frontier, &mut exec).expect("faults degrade");
+            assert_eq!(frontier.abandoned, [0], "defer={defer}");
+            assert_eq!(frontier.applied, [(2, false), (3, false), (1, false)], "defer={defer}");
+            assert_eq!(frontier.exhausts, 0);
+        }
+    }
+
+    #[test]
+    fn a_hard_failure_propagates_as_an_engine_error() {
+        let f = fixture();
+        let bad = relengine::EngineError::InvalidPlan("scripted".into());
+        for defer in [false, true] {
+            let mut frontier = ScriptedFrontier::new(&[&[2, 0, 3], &[1]]);
+            let mut exec = ScriptedExecutor::new(defer, |n| match n {
+                0 => Probe::NodeFailed(relengine::EngineError::InvalidPlan("scripted".into())),
+                _ => Probe::Verdict(true),
+            });
+            let err = drive_scripted(&f, |o| o, &mut frontier, &mut exec).unwrap_err();
+            assert_eq!(err, KwError::Engine(bad.clone()), "defer={defer}");
+            // Slots before the failure are applied; nothing after it.
+            assert_eq!(frontier.applied, [(2, true)], "defer={defer}");
+            assert_eq!((frontier.exhausts, frontier.waves_emitted), (0, 1));
+        }
     }
 
     #[test]

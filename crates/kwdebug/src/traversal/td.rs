@@ -12,11 +12,11 @@
 //! MTN's cone walked in reverse (`Desc+(m)` descending = level-descending).
 //! Same-level nodes are never descendants of each other, so R1 from one
 //! wave member can never classify another — the wave-independence invariant
-//! the parallel driver needs.
+//! the pooled executor needs.
 //!
 //! Metrics recorded (see [`crate::metrics`]): each skipped visit of an
 //! already-classified node is one `reuse_hits` (within-MTN only, counted by
-//! the driver); each descendant newly revived by R1 is one `r1_inferences`.
+//! the wave loop); each descendant newly revived by R1 is one `r1_inferences`.
 //! TD never fires R2: descending order classifies every ancestor before its
 //! descendant.
 //!

@@ -14,7 +14,7 @@
 //! Metrics recorded (see [`crate::metrics`]): each visit skipped because the
 //! shared status map already classified the node is one `reuse_hits`
 //! (cross-MTN sharing, Figure 13); each descendant newly revived by R1 is one
-//! `r1_inferences`. The driver consults memoized verdicts before the budget
+//! `r1_inferences`. The wave loop consults memoized verdicts before the budget
 //! ([`crate::oracle::AlivenessOracle::verdict_if_known`]), so cached nodes
 //! never touch it. Like TD, the descending order never fires R2.
 //!

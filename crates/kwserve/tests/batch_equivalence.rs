@@ -5,14 +5,15 @@
 //! *when*, but never what any session reports. Every session's canonical
 //! report bytes (probe-work counters scrubbed — batching moves work between
 //! sessions by design) must be identical to an unbatched run of the same
-//! session config. Across every traversal strategy, sequential and parallel
-//! drivers, evaluation cache on and off, budget-cut partial reports, probe
+//! session config. Across every traversal strategy, inline and pooled
+//! executors, evaluation cache on and off, budget-cut partial reports, probe
 //! faults, and sessions dying mid-wave. Any divergence means a verdict was
 //! misrouted, double-charged, or fabricated.
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
+use datagen::{generate_dblife, DblifeConfig};
 use kwdebug::batch::BatchConfig;
 use kwdebug::budget::ProbeBudget;
 use kwdebug::debugger::{DebugConfig, NonAnswerDebugger};
@@ -126,7 +127,7 @@ fn run_batched_matrix_cell(
 }
 
 /// The tentpole invariant: batching is invisible to reports — across every
-/// strategy, sequential and parallel drivers, and eval cache on/off.
+/// strategy, inline and pooled executors, and eval cache on/off.
 #[test]
 fn batched_reports_match_unbatched_across_the_matrix() {
     let db = store_db();
@@ -395,4 +396,63 @@ fn a_solo_session_never_touches_the_exchange() {
     assert_eq!(exchange.submitted_probes(), 0, "solo session parked probes in the exchange");
     assert_eq!(exchange.merged_waves(), 0);
     server.shutdown();
+}
+
+/// `BatchConfig::min_sessions` promises that a session below the threshold
+/// behaves exactly as if batching were off. Tuple caps and permanent faults
+/// hold it to that promise: a tuple cap trips at the node it does only if
+/// each probe executes right after its reservation, and a fault schedule
+/// lands on the same probes only on the same engine. A solo session with an
+/// exchange attached must match a plain session byte for byte, probe
+/// counters included.
+#[test]
+fn a_solo_batched_session_matches_a_plain_one_under_tuple_caps_and_faults() {
+    let base = DebugConfig { max_joins: 3, sample_limit: 0, ..DebugConfig::default() };
+    let system = NonAnswerDebugger::new(generate_dblife(&DblifeConfig::tiny()), base).unwrap();
+    let texts = ["Widom Trio", "DeRose VLDB", "Gray SIGMOD"];
+    let mut variants: Vec<(String, DebugConfig)> = [1u64, 10, 50, 200, 1000, 5000]
+        .into_iter()
+        .map(|cap| {
+            let budget = ProbeBudget::default().with_max_tuples(cap);
+            (format!("tuple cap {cap}"), DebugConfig { budget, ..base })
+        })
+        .collect();
+    for seed in 1u64..=8 {
+        let chaos = FaultConfig {
+            seed,
+            transient_per_mille: 0,
+            permanent_per_mille: 150,
+            latency_per_mille: 0,
+            latency: Duration::ZERO,
+            fail_first_transient: 0,
+        };
+        variants.push((format!("permanent chaos seed {seed}"), DebugConfig {
+            chaos: Some(chaos),
+            ..base
+        }));
+    }
+    let scrubbed = |mut report: DebugReport| {
+        for i in &mut report.interpretations {
+            i.probes.probe_time_ns = 0;
+        }
+        let probes: Vec<ProbeCounters> = report.interpretations.iter().map(|i| i.probes).collect();
+        (encode_report(&report), probes)
+    };
+    for strategy in STRATEGIES {
+        for (label, config) in &variants {
+            let config = DebugConfig { strategy, ..*config };
+            let plain = NonAnswerDebugger::from_shared(system.shared_parts(), config).unwrap();
+            let mut solo = NonAnswerDebugger::from_shared(system.shared_parts(), config).unwrap();
+            let exchange = Arc::new(WaveExchange::new(batch_config()));
+            solo.set_wave_exchange(Some(Arc::clone(&exchange)));
+            for text in texts {
+                let want = scrubbed(plain.debug(text).expect("plain session runs"));
+                let got = scrubbed(solo.debug(text).expect("solo batched session runs"));
+                let ctx = format!("{} {label} {text:?}", strategy.name());
+                assert_eq!(got.1, want.1, "{ctx}: probe counters");
+                assert_eq!(got.0, want.0, "{ctx}: canonical report bytes");
+            }
+            assert_eq!(exchange.submitted_probes(), 0, "a solo session parked probes");
+        }
+    }
 }

@@ -1,5 +1,5 @@
-//! Integration: the parallel probe scheduler is observably identical to the
-//! sequential driver.
+//! Integration: the pooled probe executor is observably identical to the
+//! inline one.
 //!
 //! The contract of `kwdebug::parallel` (DESIGN.md §8) is that `workers`
 //! changes wall-clock and nothing else: for every strategy, database and
@@ -9,10 +9,12 @@
 //! by a probe budget mid-wave. Only `probe_time_ns` and the parallel-only
 //! `workers`/`steals` counters may differ.
 //!
-//! Budgets here are probe-count caps only: deadline and tuple-scan caps
-//! trip on wall-clock and scan order, which are inherently timing-dependent
-//! under concurrency (chaos runs are covered by the soundness smoke at the
-//! bottom, not by equivalence).
+//! Budgets here are probe-count caps only. Deadlines trip on wall-clock.
+//! Tuple-scan caps do not depend on timing but on reservation order: the
+//! inline executor runs each probe right after reserving it, while the pool
+//! reserves a whole wave before executing any of it, so a tuple cap can
+//! trip later under the pool. (Chaos runs are covered by the soundness
+//! smoke at the bottom, not by equivalence.)
 
 use datagen::{generate_dblife, paper_queries, product_database, DblifeConfig};
 use kwdebug::budget::ProbeBudget;

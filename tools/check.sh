@@ -25,6 +25,9 @@ echo "==> parallel scheduler (sequential-equivalence + chaos smoke, single-threa
 cargo test --workspace -q --test parallel_equivalence
 cargo test --workspace -q --test parallel_equivalence --test chaos_soundness -- --test-threads=1
 
+echo "==> parallel probe benchmark (E13 >=2x at 4 workers, results/BENCH_exp_parallel.json)"
+./target/release/exp_parallel --scale tiny | grep -E "worst speedup|wrote"
+
 echo "==> prune substrate differential (compact vs naive reference)"
 cargo test --workspace --release -q --test prune_equivalence
 
