@@ -19,7 +19,8 @@
 //! is the enforcing differential suite), so wall-clock is a like-for-like
 //! comparison. `phases.mapping` on each emitted record carries the arm's
 //! setup share (session handoff vs full rebuild), `phases.total` the whole
-//! round. Target: incremental total ≥ 2× faster across rounds.
+//! round. Target: incremental total ≥ 2× faster across rounds; the binary
+//! exits 1 on a miss, so `tools/check.sh` gates it.
 //!
 //! Usage: `exp_mutate [--scale S] [--max-level N] [--seed N]` (default scale
 //! small, level 3). Emits one record per (round, arm) to
@@ -201,4 +202,7 @@ fn main() {
         if ratio >= 2.0 { "target >=2x met" } else { "BELOW the 2x target" }
     );
     emit_metrics("exp_mutate", &records);
+    if ratio < 2.0 {
+        std::process::exit(1);
+    }
 }

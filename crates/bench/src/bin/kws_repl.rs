@@ -245,13 +245,9 @@ fn show_metrics(system: &NonAnswerDebugger, last: &LastRun, args: &ReplArgs, max
     let p = last.report.probes();
     let t = &last.report.timing;
     println!("last query: {:?} under {}", last.query, last.strategy.name());
-    println!("  probes executed   {}", p.probes_executed);
-    println!("  probe time        {:?}", p.probe_time());
-    println!("  tuples scanned    {}", p.tuples_scanned);
-    println!("  memo hits         {}", p.memo_hits);
-    println!("  R1 inferences     {}", p.r1_inferences);
-    println!("  R2 inferences     {}", p.r2_inferences);
-    println!("  reuse hits        {}", p.reuse_hits);
+    for (name, value) in p.named() {
+        println!("  {name:<28}  {value}");
+    }
     println!(
         "  phases: mapping {:?}, pruning {:?}, traversal {:?} (sql {:?}), reporting {:?}, total {:?}",
         t.mapping, t.pruning, t.traversal, t.sql, t.reporting, t.total

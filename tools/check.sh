@@ -43,7 +43,7 @@ echo "==> cold-vs-warm probe cache benchmark (DBLife, results/BENCH_exp_probe_ca
 echo "==> mutable-database differential (incremental maintenance vs fresh rebuild)"
 cargo test --workspace --release -q --test mutation_equivalence
 
-echo "==> mutation benchmark (E19 incremental vs drop-and-rebuild, results/BENCH_exp_mutate.json)"
+echo "==> mutation benchmark (E19 >=2x incremental vs drop-and-rebuild, results/BENCH_exp_mutate.json)"
 ./target/release/exp_mutate | grep -E "speedup|wrote"
 
 echo "==> serving layer (kwserve loopback: wire-vs-library bit-equivalence, admission)"
