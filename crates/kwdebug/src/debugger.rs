@@ -33,9 +33,14 @@ pub struct DebugConfig {
     pub strategy: StrategyKind,
     /// Aliveness prior for the score-based heuristic.
     pub pa: f64,
-    /// Sample result tuples fetched per alive query for the report
-    /// (0 disables sampling; samples are *not* counted in the traversal's
-    /// SQL-query metric).
+    /// Sample result tuples shown per alive query in the report (0 disables
+    /// sampling). A probe that runs a node's full plan fetches up to this
+    /// many tuples instead of only testing emptiness, and keeps them as the
+    /// node's witness; the report renders an alive node from its witness.
+    /// Only alive nodes without one (inferred by R1/R2, answered by a
+    /// cache, or proved on a cache-pruned plan) run one extra sample query,
+    /// which the budget counts like a probe. Samples are *not* counted in
+    /// the traversal's SQL-query metric.
     pub sample_limit: usize,
     /// Cache aliveness results per lattice node for the lifetime of one
     /// interpretation's traversal (extension; the paper re-executes). The
@@ -645,24 +650,7 @@ impl NonAnswerDebugger {
         let pruned = PrunedLattice::build_with(&self.lattice, interp, &mut ws);
         self.workspaces.release(ws);
         let pruning = prune_start.elapsed();
-        let mut oracle = AlivenessOracle::new(
-            &self.db,
-            Some(&self.index),
-            interp,
-            keywords,
-            self.config.memoize,
-        )
-        .with_budget(self.config.budget)
-        .with_retry(self.config.retry);
-        if let Some(chaos) = self.config.chaos {
-            oracle = oracle.with_chaos(chaos);
-        }
-        if self.config.eval_cache {
-            oracle = oracle.with_eval_cache(Arc::clone(&self.cache));
-        }
-        if self.config.online_pa {
-            oracle = oracle.with_pa_stats(Arc::clone(&self.pa_stats));
-        }
+        let mut oracle = self.oracle(interp, keywords);
         let pa = if self.config.online_pa {
             self.pa_stats.estimate_pa(&pruned)
         } else if self.config.estimate_pa {
@@ -752,9 +740,42 @@ impl NonAnswerDebugger {
         })
     }
 
-    /// Renders one pruned-lattice node for the report, sampling tuples if the
-    /// node is alive and sampling is enabled. Sampling degrades gracefully: a
-    /// tripped budget or an injected fault yields an empty sample rather than
+    /// The oracle of one interpretation under this session's configuration.
+    /// Its probes keep `sample_limit` witness tuples per alive node, which
+    /// the report renders instead of sampling again.
+    fn oracle<'s>(
+        &'s self,
+        interp: &'s Interpretation,
+        keywords: &'s [String],
+    ) -> AlivenessOracle<'s> {
+        let mut oracle = AlivenessOracle::new(
+            &self.db,
+            Some(&self.index),
+            interp,
+            keywords,
+            self.config.memoize,
+        )
+        .with_budget(self.config.budget)
+        .with_retry(self.config.retry)
+        .with_witnesses(self.config.sample_limit);
+        if let Some(chaos) = self.config.chaos {
+            oracle = oracle.with_chaos(chaos);
+        }
+        if self.config.eval_cache {
+            oracle = oracle.with_eval_cache(Arc::clone(&self.cache));
+        }
+        if self.config.online_pa {
+            oracle = oracle.with_pa_stats(Arc::clone(&self.pa_stats));
+        }
+        oracle
+    }
+
+    /// Renders one pruned-lattice node for the report, with sample tuples if
+    /// the node is alive and sampling is enabled. The samples come from the
+    /// witness of the probe that proved the node alive; only a node without
+    /// one (its verdict was inferred, cached, or proved on a cache-pruned
+    /// plan) runs a sample query. Sampling degrades gracefully: a tripped
+    /// budget or an injected fault yields an empty sample rather than
     /// failing the whole report.
     fn query_info(
         &self,
@@ -766,7 +787,11 @@ impl NonAnswerDebugger {
         let jnts = pruned.jnts(&self.lattice, dense);
         let sql = oracle.sql(jnts)?;
         let sample_tuples = if alive && self.config.sample_limit > 0 {
-            match oracle.sample(jnts, self.config.sample_limit) {
+            let sampled = match oracle.witness(pruned.lattice_id(dense)) {
+                Some(witness) => Ok(witness),
+                None => oracle.sample(jnts, self.config.sample_limit),
+            };
+            match sampled {
                 Ok(tuples) => {
                     tuples.into_iter().map(|t| render_tuple(&self.db, jnts, &t)).collect()
                 }
@@ -855,6 +880,52 @@ mod tests {
         assert_eq!(a.level, 3);
         assert!(!a.sample_tuples.is_empty());
         assert!(a.sample_tuples[0].contains("scented pillar"), "{:?}", a.sample_tuples);
+    }
+
+    /// With the cache off, every alive node whose verdict a probe executed
+    /// is reported from that probe's witness: reporting it runs no engine
+    /// query. Only nodes without a witness (verdicts inferred by R1/R2, or
+    /// any verdict of a cache-on session, whose probes run pruned plans)
+    /// run a sample query each.
+    #[test]
+    fn reporting_executed_alive_nodes_runs_no_query() {
+        use crate::binding::KeywordQuery;
+        let mut kinds = StrategyKind::ALL.to_vec();
+        kinds.push(StrategyKind::BruteForce);
+        for (kind, cache) in kinds.into_iter().flat_map(|k| [(k, false), (k, true)]) {
+            let mut d = debugger(kind);
+            d.set_eval_cache(cache);
+            for text in ["red candle", "saffron candle", "scented saffron"] {
+                let mapping = map_keywords(&KeywordQuery::parse(text).unwrap(), &d.index);
+                for interp in &mapping.interpretations {
+                    let pruned = PrunedLattice::build(&d.lattice, interp);
+                    let mut oracle = d.oracle(interp, &mapping.keywords);
+                    let outcome =
+                        traversal::run(kind, &d.lattice, &pruned, &mut oracle, 0.5).unwrap();
+                    let queries = oracle.queries();
+                    let (mut reported, mut unwitnessed) = (0, 0);
+                    for &dense in outcome.alive_mtns.iter().chain(outcome.mpans.iter().flatten())
+                    {
+                        let witnessed = oracle.witness(pruned.lattice_id(dense)).is_some();
+                        let info = d.query_info(&pruned, dense, &mut oracle, true).unwrap();
+                        assert!(!info.sample_tuples.is_empty(), "{kind} {text}");
+                        reported += 1;
+                        unwitnessed += usize::from(!witnessed);
+                    }
+                    assert!(reported > 0, "{kind} {text}");
+                    assert_eq!(
+                        oracle.queries() - queries,
+                        unwitnessed as u64,
+                        "{kind} {text} cache={cache}: one sample per node without a witness"
+                    );
+                    if cache {
+                        assert_eq!(unwitnessed, reported, "{kind} {text}: no witness when cached");
+                    } else if kind == StrategyKind::BruteForce {
+                        assert_eq!(unwitnessed, 0, "{text}: brute force executes every node");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -273,9 +273,11 @@ macro_rules! counters {
 }
 
 counters! {
-    /// SQL probes actually executed: `is_alive` misses plus report samples,
-    /// counted by the oracle per execution. Paper: "# of SQL queries"
-    /// (Figs. 11, 14; Table 4).
+    /// SQL probes actually executed, counted by the oracle per execution:
+    /// `is_alive` misses, plus one sample query for each reported alive node
+    /// without a witness (a probe that ran the node's full plan kept its
+    /// sample tuples). A report's counters cover the traversal only. Paper:
+    /// "# of SQL queries" (Figs. 11, 14; Table 4).
     probes_executed: Counter, Event, Value, "executed";
     /// Wall-clock time the oracle spent inside probe executions. Paper:
     /// "SQL time" (Figs. 12, 15).

@@ -211,12 +211,22 @@ impl MutableDatabase {
     /// Brings the derived read structures up to the database's epoch: the
     /// index absorbs pending deltas, then the shared cache (if any) evicts
     /// what those deltas dirtied. Order matters — the cache's recomputation
-    /// path reads the index, so the index must already be current.
+    /// path reads the index, so the index must already be current. Once both
+    /// are current no consumer needs the deltas any more, so the log is
+    /// truncated: it would otherwise keep every write's old rows for the
+    /// coordinator's lifetime. A cache stamped at an older epoch (one a
+    /// session shared and kept) finds the gap and purges itself when next
+    /// adopted, rather than serving stale entries.
     fn sync(&mut self) {
         let db = Arc::clone(&self.db);
         self.index_mut().apply_deltas(&db);
         if let Some(cache) = &self.shared_cache {
             cache.invalidate(&db);
+        }
+        drop(db);
+        if let Ok(db) = self.db_mut() {
+            let epoch = db.epoch();
+            db.truncate_deltas(epoch);
         }
     }
 }
@@ -345,6 +355,63 @@ mod tests {
         drop(session);
         m.delete_row(item, 0).expect("write proceeds once quiesced");
         assert_eq!(m.epoch(), 1);
+    }
+
+    #[test]
+    fn the_delta_log_stays_empty_across_many_writes() {
+        let mut m = MutableDatabase::new(db(), 2).unwrap();
+        m.share_eval_cache(None);
+        let item = m.table_id("item").unwrap();
+        let color = m.table_id("color").unwrap();
+        // A store some session shared and kept, stamped at epoch 0 and warm.
+        let mut parts = m.parts();
+        let stale = parts.share_eval_cache(None);
+        NonAnswerDebugger::from_shared(parts, config())
+            .unwrap()
+            .debug("saffron candle")
+            .unwrap();
+        assert!(stale.bytes() > 0);
+
+        for i in 0..40i64 {
+            let row = |text: &str, color: i64| {
+                vec![Value::Int(100 + i), Value::text(text), Value::Int(color)]
+            };
+            let ids = m.append_rows(item, vec![row("saffron candle", 2)]).unwrap();
+            m.update_row(item, ids[0], row("teal candle", 1)).unwrap();
+            if i % 2 == 0 {
+                m.delete_row(item, ids[0]).unwrap();
+            }
+        }
+        m.append_rows(color, vec![vec![Value::Int(3), Value::text("teal")]]).unwrap();
+        assert_eq!(m.epoch(), 101);
+        assert_eq!(m.database().oldest_delta_epoch(), m.epoch(), "the log holds no deltas");
+        assert!(m.database().deltas_since(0).is_empty());
+
+        // Reports still equal a from-scratch rebuild.
+        let fresh = NonAnswerDebugger::new(m.database().clone(), config()).unwrap();
+        let same = |a: &crate::DebugReport, b: &crate::DebugReport, q: &str| {
+            assert_eq!(a.keywords, b.keywords, "{q}");
+            assert_eq!(a.interpretations.len(), b.interpretations.len(), "{q}");
+            for (x, y) in a.interpretations.iter().zip(&b.interpretations) {
+                assert_eq!(x.answers, y.answers, "{q}: answers (SQL + samples)");
+                assert_eq!(x.non_answers, y.non_answers, "{q}: non-answers + MPANs");
+                assert_eq!(x.unknown, y.unknown, "{q}");
+            }
+        };
+        for q in ["saffron candle", "teal candle", "red candle"] {
+            same(&m.session(config()).unwrap().debug(q).unwrap(), &fresh.debug(q).unwrap(), q);
+        }
+
+        // The old store cannot audit the writes it missed, so adopting it
+        // purges it instead of serving its epoch-0 entries.
+        let mut parts = m.parts();
+        parts.adopt_eval_cache(stale.clone()).unwrap();
+        assert_eq!(stale.epoch(), m.epoch());
+        assert_eq!(stale.bytes(), 0, "purged on adoption");
+        let adopted = NonAnswerDebugger::from_shared(parts, config()).unwrap();
+        for q in ["saffron candle", "teal candle"] {
+            same(&adopted.debug(q).unwrap(), &fresh.debug(q).unwrap(), q);
+        }
     }
 
     #[test]

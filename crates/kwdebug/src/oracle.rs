@@ -56,10 +56,18 @@
 //! |---|---|---|
 //! | `is_alive` cache miss | `probes_executed`, `probe_time`, `tuples_scanned` | one "SQL query" (Figs. 11–12) |
 //! | `is_alive` memo hit | `memo_hits` | beyond the paper (§3 re-executes) |
-//! | `sample` for a report | `probes_executed`, `probe_time`, `tuples_scanned` | §2.1 sample tuples of `A(K)`/`M(K)` |
+//! | `sample` for a report, only for an alive node without a witness | `probes_executed`, `probe_time`, `tuples_scanned` | §2.1 sample tuples of `A(K)`/`M(K)` |
 //! | transient fault retried | `retries`, `faults_injected` | beyond the paper (degraded mode) |
 //! | probe abandoned | `probes_abandoned` (+ `faults_injected` per fault) | beyond the paper (degraded mode) |
 //! | budget cap tripped | `budget_exhausted` (once; sticky) | beyond the paper (degraded mode) |
+//!
+//! A debug session sets a *witness limit* (its report's sample limit): a
+//! probe that runs the full, uncached plan then executes it as a bounded
+//! enumeration of that many tuples instead of an emptiness check. It is
+//! still one query; the node is alive iff a tuple came back, and the tuples
+//! are kept as the node's witness, from which the report renders its
+//! samples. Only alive nodes without a witness — inferred by R1/R2,
+//! answered by a cache, or proved on a cache-pruned plan — cost a `sample`.
 //!
 //! `probes_executed` always equals the engine's own `ExecStats::queries` —
 //! the invariant the metrics integration tests pin down. Faults are injected
@@ -67,7 +75,8 @@
 //! side of that equation. A failed attempt also returns its reserved budget
 //! slot ([`BudgetGate::release`]), so the budget only ever counts executions.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use relengine::sortedvals::ValuePostings;
@@ -241,6 +250,13 @@ pub(crate) struct ProbeCore<'a> {
     /// Online `p_a` observer (`None` = off). Every *executed* probe reports
     /// its `(level, verdict)` here; see [`crate::estimate::OnlinePa`].
     pa_stats: Option<Arc<crate::estimate::OnlinePa>>,
+    /// Tuples a full-plan probe keeps as its node's witness (0 = probes only
+    /// test emptiness). Set to the report's sample limit.
+    witness_limit: usize,
+    /// The first `witness_limit` result tuples of every node proved alive
+    /// by a full-plan execution — its own or, through the wave exchange, a
+    /// peer session's. Reports render samples from here.
+    witnesses: Mutex<HashMap<NodeId, Vec<MatchTuple>>>,
 }
 
 // The core must stay shareable across the scheduler's worker threads; this
@@ -270,6 +286,32 @@ impl<'a> ProbeCore<'a> {
             chaos: None,
             cache: None,
             pa_stats: None,
+            witness_limit: 0,
+            witnesses: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// How many tuples a probe of this core keeps as a witness: the sample
+    /// limit, when probes run the full plan. A cache-aware probe runs a
+    /// pruned, harvesting plan whose tuples are not the network's, so it
+    /// keeps none.
+    pub(crate) fn witness_limit(&self) -> usize {
+        if self.cache.is_some() {
+            0
+        } else {
+            self.witness_limit
+        }
+    }
+
+    /// The witness tuples of `node`, if a full-plan execution proved it
+    /// alive.
+    pub(crate) fn witness(&self, node: NodeId) -> Option<Vec<MatchTuple>> {
+        self.witnesses.lock().expect("witness store poisoned").get(&node).cloned()
+    }
+
+    fn keep_witness(&self, node: NodeId, tuples: Vec<MatchTuple>) {
+        if !tuples.is_empty() {
+            self.witnesses.lock().expect("witness store poisoned").insert(node, tuples);
         }
     }
 
@@ -694,15 +736,24 @@ impl<'a> ProbeCore<'a> {
         }
         let harvest_idx: Vec<usize> =
             cached.as_ref().map_or_else(Vec::new, |c| c.harvest.iter().map(|h| h.0).collect());
+        let witness_limit = self.witness_limit();
         let rows_before = engine.stats().rows_examined;
         let start = Instant::now();
+        // A full plan runs as a bounded execution when reports want
+        // samples: the node is alive iff it yields a tuple, and the tuples
+        // are kept as its witness.
         let outcome = self.execute_with_retry(engine, |eng| match (&cached, &plain) {
-            (Some(c), _) => eng.exists_harvesting(&c.plan, &harvest_idx),
-            (None, Some(p)) => eng.exists(p).map(|alive| (alive, Vec::new())),
+            (Some(c), _) => {
+                eng.exists_harvesting(&c.plan, &harvest_idx).map(|(a, h)| (a, h, Vec::new()))
+            }
+            (None, Some(p)) if witness_limit > 0 => {
+                eng.execute(p, witness_limit).map(|t| (!t.is_empty(), Vec::new(), t))
+            }
+            (None, Some(p)) => eng.exists(p).map(|alive| (alive, Vec::new(), Vec::new())),
             (None, None) => unreachable!("one of the plans is always built"),
         });
         match outcome {
-            Ok((alive, harvested)) => {
+            Ok((alive, harvested, witness)) => {
                 self.metrics.probes_executed.incr();
                 self.metrics.probe_time.add(start.elapsed());
                 self.metrics
@@ -711,6 +762,7 @@ impl<'a> ProbeCore<'a> {
                 if let Some(memo) = &self.memo {
                     memo.insert(node, alive);
                 }
+                self.keep_witness(node, witness);
                 // Executed verdicts (and only those — memo hits, inferences
                 // and dead shortcuts are derived facts) feed the online p_a
                 // estimator.
@@ -756,6 +808,13 @@ impl<'a> ProbeCore<'a> {
     /// Two sessions on the same `(db_id, epoch)` produce equal keys exactly
     /// when their probes are the same ground-truth query, whether or not
     /// either session has an evaluation cache attached.
+    ///
+    /// A probe that keeps a witness appends its limit and the network's
+    /// own vertex and edge order: witness tuples list rows by vertex, and
+    /// which tuples come first depends on that order. Such probes coalesce
+    /// only with the same numbered network at the same limit, so a follower
+    /// inherits exactly the witness its own execution would have kept.
+    /// (The network key is bracketed, so the suffix cannot collide.)
     pub(crate) fn exchange_key(
         &self,
         jnts: &Jnts,
@@ -772,23 +831,42 @@ impl<'a> ProbeCore<'a> {
                 }
             })
             .collect();
-        network_key(jnts, &|i| labels[i])
+        let mut key = network_key(jnts, &|i| labels[i]);
+        let limit = self.witness_limit();
+        if limit > 0 {
+            key.extend_from_slice(&(limit as u64).to_le_bytes());
+            for label in &labels {
+                key.extend_from_slice(&label.to_le_bytes());
+            }
+            for e in jnts.edges() {
+                key.extend_from_slice(&[e.a, e.b, u8::from(e.a_is_from)]);
+                key.extend_from_slice(&(e.fk as u64).to_le_bytes());
+            }
+        }
+        key
     }
 
     /// Books a verdict another session executed for this session's probe in
     /// a merged wave. Mirrors the non-execution bookkeeping of
-    /// [`ProbeCore::execute_reserved`]'s success path — memo insert, online
-    /// `p_a`, verdict-cache publish — but counts `coalesced_probes` instead
+    /// [`ProbeCore::execute_reserved`]'s success path — memo insert, witness,
+    /// online `p_a`, verdict-cache publish — but counts `coalesced_probes` instead
     /// of `probes_executed` (the accounting twin of a memo hit), keeping the
     /// `probes_executed == ExecStats::queries` invariant intact. The budget
     /// slot the wave loop reserved for this probe stays consumed, exactly
     /// as if the probe had executed, so budget-cut partials match unbatched
     /// runs.
-    pub(crate) fn record_coalesced(&self, node: NodeId, jnts: &Jnts, alive: bool) {
+    pub(crate) fn record_coalesced(
+        &self,
+        node: NodeId,
+        jnts: &Jnts,
+        alive: bool,
+        witness: Vec<MatchTuple>,
+    ) {
         self.metrics.coalesced_probes.incr();
         if let Some(memo) = &self.memo {
             memo.insert(node, alive);
         }
+        self.keep_witness(node, witness);
         if let Some(stats) = &self.pa_stats {
             stats.record(jnts.node_count(), alive);
         }
@@ -869,6 +947,20 @@ impl<'a> AlivenessOracle<'a> {
         self
     }
 
+    /// Keeps the first `limit` result tuples of every full-plan probe that
+    /// proves its node alive, so the report renders that node's samples
+    /// without another execution ([`AlivenessOracle::witness`]).
+    pub(crate) fn with_witnesses(mut self, limit: usize) -> Self {
+        self.core.witness_limit = limit;
+        self
+    }
+
+    /// The witness tuples kept for `node`, if a probe of this oracle (or a
+    /// coalesced peer's) proved it alive on the full plan.
+    pub(crate) fn witness(&self, node: NodeId) -> Option<Vec<MatchTuple>> {
+        self.core.witness(node)
+    }
+
     /// Attaches an [`crate::estimate::OnlinePa`] observer: every executed
     /// probe reports its `(level, verdict)` so later queries — in this
     /// session or, when the estimator is shared through
@@ -940,7 +1032,9 @@ impl<'a> AlivenessOracle<'a> {
 
     /// Fetches up to `limit` sample result tuples of a node (for reports).
     /// Counts as one more executed query, subject to the same budget and
-    /// retry policy as probes.
+    /// retry policy as probes. Reports call it only for alive nodes without
+    /// a witness: verdicts inferred by R1/R2, answered by a cache, or proved
+    /// on a cache-pruned plan.
     pub fn sample(
         &mut self,
         jnts: &Jnts,
@@ -984,10 +1078,11 @@ impl<'a> AlivenessOracle<'a> {
         self.core.interp.keyword_for(ts).map(|i| self.core.keywords[i].as_str())
     }
 
-    /// The SQL text of a node under this interpretation.
+    /// The SQL text of a node under this interpretation. The text never
+    /// shows candidate rows, so the plan is built without the index.
     pub fn sql(&self, jnts: &Jnts) -> Result<String, KwError> {
         let core = &self.core;
-        let plan = build_plan(jnts, core.interp, core.db, core.index, core.keywords)?;
+        let plan = build_plan(jnts, core.interp, core.db, None, core.keywords)?;
         Ok(relengine::render_sql(&plan, core.db))
     }
 
@@ -1456,6 +1551,42 @@ mod tests {
         assert_eq!(plain.is_alive(1, &j2).unwrap(), o.is_alive(1, &j2).unwrap());
         assert!(o.metrics().snapshot().subtree_cache_hits > 0, "warm probe pruned subtrees");
         assert_eq!(o.sql(&j).unwrap(), plain.sql(&j).unwrap(), "SQL text is cache-blind");
+    }
+
+    #[test]
+    fn witnessing_probes_key_their_limit_and_vertex_order() {
+        let db = db();
+        let idx = InvertedIndex::build(&db);
+        // Both keywords bind item copies, in opposite orders.
+        let m1 = map_keywords(&KeywordQuery::parse("glowy scented").unwrap(), &idx);
+        let m2 = map_keywords(&KeywordQuery::parse("scented glowy").unwrap(), &idx);
+        let (i1, i2) = (&m1.interpretations[0], &m2.interpretations[0]);
+        // item1 ← ptype0 → item2, rooted at the free ptype copy: the same
+        // canonical network under both bindings, its item vertices swapped.
+        let j = Jnts::single(TupleSet::new(0, 0))
+            .extend(0, inc(0, 1, false), 1)
+            .extend(0, inc(0, 1, false), 2);
+        let mut ids = std::collections::HashMap::new();
+        let mut key = |o: &AlivenessOracle<'_>| {
+            o.core.exchange_key(&j, &mut |kw| {
+                let next = ids.len() as u64;
+                *ids.entry(kw.to_owned()).or_insert(next)
+            })
+        };
+        let oracle = |interp, kws, limit| {
+            AlivenessOracle::new(&db, Some(&idx), interp, kws, false).with_witnesses(limit)
+        };
+        let plain = key(&oracle(i1, &m1.keywords, 0));
+        assert_eq!(plain, key(&oracle(i2, &m2.keywords, 0)), "one canonical network");
+        let witnessing = key(&oracle(i1, &m1.keywords, 3));
+        assert_ne!(witnessing, plain, "a witnessing probe never meets a plain one");
+        assert_eq!(witnessing, key(&oracle(i1, &m1.keywords, 3)), "identical probes meet");
+        assert_ne!(witnessing, key(&oracle(i1, &m1.keywords, 1)), "limits never mix");
+        assert_ne!(witnessing, key(&oracle(i2, &m2.keywords, 3)), "vertex orders never mix");
+        // A cache-aware probe keeps no witness, so its key stays canonical.
+        let cached = oracle(i1, &m1.keywords, 3)
+            .with_eval_cache(Arc::new(crate::evalcache::EvalCache::new()));
+        assert_eq!(key(&cached), plain);
     }
 
     #[test]

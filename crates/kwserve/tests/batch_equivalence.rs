@@ -189,6 +189,63 @@ fn budget_partials_stay_identical_when_batched() {
     }
 }
 
+/// A follower inherits its owner's witness (the sample tuples the probe
+/// kept), so only probes whose witnesses are interchangeable may coalesce.
+/// Here sessions with different sample limits, and sessions binding the
+/// same two item keywords in the opposite order (the same canonical
+/// network with its vertices in another order), run side by side; each
+/// must still report exactly its own unbatched samples.
+#[test]
+fn witnesses_pass_only_between_identical_probes() {
+    let db = store_db();
+    let tenants: [(usize, [&str; 3]); 3] = [
+        (1, ["scented", "scented pillar", "burner scented"]),
+        (3, ["scented", "scented pillar", "burner scented"]),
+        (3, ["scented", "pillar scented", "scented burner"]),
+    ];
+    let mut coalesced = 0;
+    for strategy in [StrategyKind::BruteForce, StrategyKind::BottomUpWithReuse] {
+        for workers in [1usize, 4] {
+            let base = session_config(strategy, workers, false);
+            let system = NonAnswerDebugger::new(db.clone(), base).unwrap();
+            let config = |limit| DebugConfig { sample_limit: limit, ..base };
+            let truth: Vec<Vec<Vec<u8>>> = tenants
+                .iter()
+                .map(|(limit, queries)| {
+                    let s = NonAnswerDebugger::from_shared(system.shared_parts(), config(*limit))
+                        .unwrap();
+                    queries.iter().map(|q| canonical(s.debug(q).unwrap())).collect()
+                })
+                .collect();
+            let exchange = Arc::new(WaveExchange::new(batch_config()));
+            let barrier = Barrier::new(tenants.len());
+            std::thread::scope(|s| {
+                for (t, ((limit, queries), truth)) in tenants.iter().zip(&truth).enumerate() {
+                    let (exchange, barrier, system) = (Arc::clone(&exchange), &barrier, &system);
+                    s.spawn(move || {
+                        let mut dbg =
+                            NonAnswerDebugger::from_shared(system.shared_parts(), config(*limit))
+                                .unwrap();
+                        dbg.set_wave_exchange(Some(exchange));
+                        barrier.wait();
+                        for (q, want) in queries.iter().zip(truth) {
+                            let got = canonical(dbg.debug(q).expect("batched debug runs"));
+                            assert_eq!(
+                                &got, want,
+                                "{strategy} workers={workers}: tenant {t} diverged on {q:?}"
+                            );
+                        }
+                    });
+                }
+            });
+            assert_eq!(exchange.active_sessions(), 0);
+            assert_eq!(exchange.pending_cells(), 0);
+            coalesced += exchange.coalesced_probes();
+        }
+    }
+    assert!(coalesced > 0, "identical probes still coalesce");
+}
+
 /// Transient probe faults recover by retry before any verdict is published,
 /// so a fully chaos-faulted batched fleet still reproduces the clean
 /// unbatched reference — no faulted execution may leak a verdict to a
