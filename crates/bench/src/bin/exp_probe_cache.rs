@@ -19,6 +19,12 @@
 //! see `tests/probe_cache_equivalence.rs`), so the ratio isolates the
 //! probing work the cache removes. Target: warm ≥ 3× cold.
 //!
+//! The run is a gate: it exits 1 when warm/cold falls below 3×, when the
+//! warm pass executes any probe (every verdict must come from the cache),
+//! or when the cold pass scans more tuples than the off pass over the
+//! workload (populating the cache must not cost engine work). Probe and
+//! tuple counts are deterministic at a fixed seed.
+//!
 //! Individual probes run in microseconds, so a single pass is at the mercy
 //! of scheduler noise. The whole off/cold/warm cycle therefore repeats
 //! [`REPS`] times — [`NonAnswerDebugger::reset_eval_cache`] restores a cold
@@ -35,7 +41,7 @@ use std::time::Instant;
 use bench::{build_system, emit_metrics, print_table, ExpArgs};
 use datagen::paper_queries;
 use kwdebug::debugger::NonAnswerDebugger;
-use kwdebug::metrics::MetricsSnapshot;
+use kwdebug::metrics::{MetricsSnapshot, ProbeCounters};
 use kwdebug::traversal::StrategyKind;
 
 const STRATEGY: StrategyKind = StrategyKind::ScoreBasedHeuristic;
@@ -174,8 +180,21 @@ fn main() {
         "warm/cold speedup: {ratio:.2}x ({})",
         if ratio >= 3.0 { "target >=3x met" } else { "BELOW the 3x target" }
     );
+    let sum = |rows: &[Row], field: fn(&ProbeCounters) -> u64| -> u64 {
+        rows.iter().map(|r| field(&r.rec.probes)).sum()
+    };
+    let warm_executed = sum(&warm, |p| p.probes_executed);
+    let (off_scanned, cold_scanned) =
+        (sum(&off, |p| p.tuples_scanned), sum(&cold, |p| p.tuples_scanned));
+    println!("warm pass probes executed: {warm_executed} (target 0)");
+    println!("tuples scanned: off {off_scanned}, cold {cold_scanned} (target cold <= off)");
+    let passed = ratio >= 3.0 && warm_executed == 0 && cold_scanned <= off_scanned;
 
     let records: Vec<MetricsSnapshot> =
         off.into_iter().chain(cold).chain(warm).map(|r| r.rec).collect();
     emit_metrics("exp_probe_cache", &records);
+    if !passed {
+        eprintln!("exp_probe_cache: E15 gate failed");
+        std::process::exit(1);
+    }
 }

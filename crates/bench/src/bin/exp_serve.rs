@@ -805,7 +805,7 @@ fn main() {
             tenants,
             wq,
             workers,
-            Some(SharedCacheConfig { budget_bytes: Some(tiny_budget), online_pa: true }),
+            Some(SharedCacheConfig { budget_bytes: Some(tiny_budget) }),
             "warm_shared_tiny_budget",
         );
 

@@ -47,11 +47,6 @@ pub struct DebugConfig {
     /// cache never crosses interpretations — the same lattice node can
     /// instantiate to different SQL under a different keyword assignment.
     pub memoize: bool,
-    /// Estimate `p_a` per interpretation from index/catalog statistics
-    /// ([`crate::estimate::PaEstimator`]) instead of using the fixed prior —
-    /// the paper's future-work knob. Only affects the score-based heuristic's
-    /// query count, never its output.
-    pub estimate_pa: bool,
     /// Probe budget applied *per interpretation* (each interpretation gets a
     /// fresh oracle, hence a fresh budget window). The default is unlimited —
     /// the happy-path pipeline. When a cap trips mid-traversal the report is
@@ -83,11 +78,10 @@ pub struct DebugConfig {
     /// ([`crate::estimate::OnlinePa`]) instead of the fixed `pa` — observed
     /// verdicts sharpen the prior for later queries, and when sessions share
     /// a substrate ([`SharedParts`]) the estimator is shared too, so one
-    /// tenant's probes inform every other's traversal order. Takes precedence
-    /// over [`DebugConfig::estimate_pa`]. With zero observations the
-    /// estimate is exactly the paper's 0.5, so a cold estimator changes
-    /// nothing. Only affects the score-based heuristic's query count, never
-    /// its output (DESIGN.md §12).
+    /// tenant's probes inform every other's traversal order. With zero
+    /// observations the estimate is exactly the paper's 0.5, so a cold
+    /// estimator changes nothing. Only affects the score-based heuristic's
+    /// query count, never its output (DESIGN.md §12).
     pub online_pa: bool,
 }
 
@@ -99,7 +93,6 @@ impl Default for DebugConfig {
             pa: traversal::DEFAULT_PA,
             sample_limit: 3,
             memoize: false,
-            estimate_pa: false,
             budget: ProbeBudget::unlimited(),
             retry: RetryPolicy::default(),
             chaos: None,
@@ -233,7 +226,7 @@ impl SharedParts {
     /// serve this one) or when the cache's epoch is *ahead* of this
     /// snapshot (its entries absorbed writes this snapshot has not seen).
     /// A cache *behind* this snapshot is caught up through
-    /// [`SharedEvalCache::invalidate`] on attach — the CACHING.md epoch
+    /// [`EvalCache::invalidate`] on attach — the CACHING.md epoch
     /// contract.
     pub fn adopt_eval_cache(&mut self, cache: SharedEvalCache) -> Result<(), KwError> {
         if cache.db_id() != self.db.db_id() {
@@ -651,14 +644,8 @@ impl NonAnswerDebugger {
         self.workspaces.release(ws);
         let pruning = prune_start.elapsed();
         let mut oracle = self.oracle(interp, keywords);
-        let pa = if self.config.online_pa {
-            self.pa_stats.estimate_pa(&pruned)
-        } else if self.config.estimate_pa {
-            crate::estimate::PaEstimator::new(&self.db, &self.index, interp, keywords)
-                .estimate_pa(&self.lattice, &pruned)
-        } else {
-            self.config.pa
-        };
+        let pa =
+            if self.config.online_pa { self.pa_stats.estimate_pa(&pruned) } else { self.config.pa };
         let traversal_start = Instant::now();
         let mut outcome = traversal::run_with_ticket(
             strategy,

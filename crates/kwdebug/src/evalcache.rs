@@ -4,98 +4,90 @@
 //! Every aliveness probe of a debug session runs against one epoch-stamped
 //! snapshot of the database, and the probed networks are subtrees of the same
 //! MTNs — so most of the work of one probe is a verbatim replay of another's.
-//! This module caches that work at three levels, below the node-id
-//! memo/R1/R2 reuse:
+//! This module caches that work in four layers, below the node-id memo/R1/R2
+//! reuse (CACHING.md §1):
 //!
-//! * **Selection cache** — `(table, keyword)` → the sorted row ids satisfying
-//!   the keyword's containment predicate. Computed once per epoch; every
-//!   later probe attaches the shared selection to its plan node and the
-//!   executor skips predicate evaluation for that node entirely.
-//! * **Subtree semi-join cache** — canonical *binding* label of a cut subtree
-//!   (vertices labeled `table + bound keyword`, so copy numbers don't split
-//!   entries) plus the subtree's outgoing join column → the sorted set of
-//!   join values surviving that subtree's Yannakakis reduction. A parent
-//!   probe semi-joins against the cached value-set instead of re-reducing the
-//!   subtree; an *empty* cached set proves any network joining through that
-//!   cut dead without touching the engine at all.
-//! * **Verdict cache** — canonical binding key of a *whole* network
-//!   ([`network_key`]) → its completed semi-join verdict. The memo answers
-//!   repeats by lattice node id within one traversal; this layer answers
-//!   them structurally, across traversals and (shared) across sessions: a
-//!   probe whose exact bound network was ever fully reduced is answered —
-//!   alive or dead — without touching the engine
-//!   (`verdict_cache_hits`).
+//! * **Selections** (layer 1) — `(table, keyword)` → the sorted row ids
+//!   satisfying the keyword's containment predicate; probes attach them to
+//!   plan nodes and the executor skips predicate evaluation.
+//! * **Selection postings** (layer 1.5) — `(selection, column)` → that
+//!   selection's value→rows postings in one join column
+//!   (`PlanNode::col_postings`).
+//! * **Subtree value-sets** (layer 2) — canonical *binding* key of a cut
+//!   subtree plus its outgoing join column → the join values surviving its
+//!   Yannakakis reduction. A parent probe semi-joins against the cached set
+//!   instead of re-reducing the subtree; an *empty* set proves any network
+//!   joining through that cut dead without touching the engine.
+//! * **Verdicts** (layer 3) — canonical binding key of a *whole* network
+//!   ([`network_key`]) → its completed verdict, answering repeats alive or
+//!   dead across traversals and (shared) sessions (`verdict_cache_hits`).
 //!
-//! All maps are lock-striped like `parallel::ShardedMemo` so the parallel
-//! scheduler's workers share them without a global lock. Entries are only
-//! ever written from *completed* reductions (chaos faults fire before
-//! execution and abort the probe, so a failed probe contributes nothing).
+//! The four layers are four instances of one private layer type, which owns
+//! the lock-striped maps (like `parallel::ShardedMemo`) and the whole entry
+//! protocol: epoch fences, keep-the-winner inserts, LRU stamps, byte
+//! accounting, invalidation, purges and the eviction scan. They differ only
+//! in key, byte footprint, table mask and invalidation predicate. Entries are
+//! only written from *completed* reductions (chaos faults abort the probe
+//! before execution, so a failed probe contributes nothing).
 //!
 //! ## The epoch contract (DESIGN.md §13, CACHING.md)
 //!
 //! The cache is keyed by **database identity**: the substrate's
-//! [`Database::db_id`] (process-unique per build — a fresh database can never
-//! alias a stale store) plus its monotonic write **epoch**. Every entry is
-//! stamped with the epoch of the snapshot it was computed from, every lookup
-//! and insert carries the calling session's *pin* epoch, and three rules keep
-//! sharing sound under mutation:
+//! [`Database::db_id`] (process-unique per build) plus its monotonic write
+//! **epoch**. Every entry is stamped with the epoch of the snapshot it was
+//! computed from, every lookup and insert carries the caller's *pin* epoch:
 //!
-//! 1. **Read fence** — a lookup pinned at epoch `E` ignores entries stamped
-//!    `E' > E`: a session attached before a write never observes state from
-//!    after it mid-traversal.
-//! 2. **Write fence** — an insert pinned at `E < ` the cache's current epoch
-//!    is dropped (checked under the shard lock, after [`EvalCache::invalidate`]
-//!    has published the new epoch): a straggler session cannot poison the
-//!    store with results computed from superseded data.
-//! 3. **Selective invalidation** — [`EvalCache::invalidate`] advances the
-//!    cache to the database's current epoch and evicts exactly the entries the
-//!    intervening [`relengine::EpochDelta`]s can have changed: selections
-//!    whose keyword occurs (as a case-insensitive substring, matching the
-//!    predicate) in any touched text value of their table; postings whose
-//!    selection is dirty or whose column was written; subtree value-sets and
-//!    verdicts whose `tables_mask` intersects a written table (re-validation
-//!    by recomputation — a dead network can come alive after an append, so a
-//!    cached verdict over a written table proves nothing). Surviving entries
-//!    keep their stamps and stay valid for both old-pin and new-pin readers.
-//!
-//! If the database's delta log no longer covers the cache's epoch (the log
-//! was truncated), nothing can be proven clean and the store is purged.
+//! 1. **Read fence** — a lookup pinned at `E` ignores entries stamped
+//!    `E' > E`. (Older entries are safe: invalidation removed every entry a
+//!    later write dirtied, so a survivor is what the reader would compute.)
+//! 2. **Write fence** — an insert pinned below the cache's current epoch is
+//!    dropped, checked under the shard lock after [`EvalCache::invalidate`]
+//!    published the new epoch: either the insert lands before the scan
+//!    reaches its shard (and the scan removes it if dirty), or it is dropped.
+//! 3. **Selective invalidation** — [`EvalCache::invalidate`] advances to the
+//!    database's epoch and evicts exactly what the intervening
+//!    [`relengine::EpochDelta`]s can have changed: selections whose keyword
+//!    occurs (case-insensitively) in a touched text value of their table;
+//!    postings whose selection is dirty or whose column was written; subtree
+//!    sets and verdicts whose `tables_mask` meets a written table. If the
+//!    delta log no longer covers the cache's epoch, the store is purged.
 //!
 //! ## Process-wide sharing (DESIGN.md §12, CACHING.md)
 //!
-//! Under the serving layer most redundant probe work is *across* sessions —
-//! tenants hitting overlapping keywords recompute each other's selections
-//! and subtree reductions. [`SharedEvalCache`] promotes one `EvalCache` to a
-//! process-wide store handed to every session through
-//! [`crate::debugger::SharedParts`], bounded by a **byte-budget LRU** so one
-//! tenant's working set cannot blow out process memory for all. Every lookup
-//! stamps the entry with a logical clock; when an insert pushes
-//! [`EvalCache::bytes`] past the budget, least-recently-used entries are
-//! evicted (and their bytes *returned* to the accounting — `bytes()` always
-//! equals the sum of resident entry footprints, see
-//! [`EvalCache::accounted_bytes`]) until the store fits again. Invalidation
-//! rides the same removal path, so an entry the LRU already evicted is never
-//! double-subtracted. Hits, misses, evictions and invalidations are counted
-//! on the store itself, surfaced by the serving layer's `shared_cache_*`
-//! metrics.
+//! [`SharedEvalCache`] promotes one `EvalCache` to a process-wide store
+//! handed to every session through [`crate::debugger::SharedParts`], bounded
+//! by a **byte-budget LRU**: every touch stamps the entry with a logical
+//! clock, and when an insert pushes [`EvalCache::bytes`] past the budget the
+//! least-recently-used entries across all four layers are evicted until it
+//! fits. Every removal — eviction, invalidation, purge — returns the entry's
+//! bytes as it goes, so `bytes()` always equals
+//! [`EvalCache::accounted_bytes`].
 //!
-//! Sharing never changes answers: the differential suites
-//! (`tests/probe_cache_equivalence.rs`, `tests/shared_cache_equivalence.rs`,
-//! `tests/mutation_equivalence.rs`) pin reports bit-identical with the cache
-//! off, session-scoped, or shared — including across seeded mutations.
+//! A panic while a shard lock is held poisons that shard. The next lock of it
+//! empties the shard (its entries count as invalidated and return their
+//! bytes) and clears the poison: the cache only saves work, so dropping
+//! entries is always sound. The keyword interner and the eviction lock
+//! recover the same way but keep their state, which no holder leaves
+//! half-written.
+//!
+//! Sharing never changes answers: `tests/probe_cache_equivalence.rs`,
+//! `tests/shared_cache_equivalence.rs` and `tests/mutation_equivalence.rs`
+//! pin reports bit-identical with the cache off, session-scoped or shared.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::hash::{DefaultHasher, Hash, Hasher};
+use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use relengine::sortedvals::ValuePostings;
-use relengine::{ColId, Database, DataType, DeltaKind, RowId, TableId};
+use relengine::{ColId, Database, DataType, DeltaKind, EpochDelta, RowId, TableId, Value};
 
 use crate::canonical::{direction_aware_adjacency, rooted_subtree_key};
 use crate::jnts::Jnts;
 
-/// Number of lock stripes per map (same as `parallel::MEMO_SHARDS`).
+/// Number of lock stripes per layer (same as `parallel::MEMO_SHARDS`).
 const SHARDS: usize = 16;
 
 /// Key of one cached selection: table, interned keyword id, and whether the
@@ -118,10 +110,22 @@ pub fn network_mask(j: &Jnts) -> u64 {
     j.nodes().iter().fold(0, |m, ts| m | table_mask_bit(ts.table))
 }
 
+/// Locks `m` even if a panicking holder poisoned it, clearing the poison.
+/// Returns whether it was poisoned, so the caller can drop whatever the
+/// holder may have left half-done.
+fn lock<T>(m: &Mutex<T>) -> (MutexGuard<'_, T>, bool) {
+    match m.lock() {
+        Ok(guard) => (guard, false),
+        Err(poisoned) => {
+            m.clear_poison();
+            (poisoned.into_inner(), true)
+        }
+    }
+}
+
 /// One resident cache entry: the shared value, its accounted footprint, the
-/// logical-clock stamp of its last touch (insert or hit) driving LRU
-/// eviction, the epoch of the snapshot it was computed from (read fence), and
-/// the set of tables it was computed over (invalidation reachability).
+/// LRU stamp of its last touch, the epoch it was computed at (read fence) and
+/// the tables it was computed over (invalidation).
 struct Entry<V> {
     value: Arc<V>,
     bytes: u64,
@@ -130,21 +134,167 @@ struct Entry<V> {
     mask: u64,
 }
 
-/// One lock-striped map: `SHARDS` independently locked hash maps.
-type Striped<K, V> = Vec<Mutex<HashMap<K, Entry<V>>>>;
-
-fn shard_of<K: Hash>(key: &K) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) % SHARDS
+/// The store-wide state every layer reads and updates.
+#[derive(Default)]
+struct Tally {
+    /// Database epoch the resident entries are valid at (the write fence).
+    epoch: AtomicU64,
+    /// Logical LRU clock; every touch (insert or hit) takes the next tick.
+    clock: AtomicU64,
+    /// Sum of resident entry footprints (`bytes() == accounted_bytes()`).
+    bytes: AtomicU64,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
+    /// Entries removed by invalidation, purges and poison recovery
+    /// (distinct from LRU `evictions`).
+    invalidated: AtomicU64,
 }
 
-/// Which striped map a victim entry lives in (internal to eviction).
-enum Victim {
-    Selection(SelectionKey),
-    Postings((SelectionKey, ColId)),
-    Subtree(Vec<u8>),
-    Verdict(Vec<u8>),
+impl Tally {
+    /// The next logical-clock tick (monotone across threads).
+    fn tick(&self) -> u64 {
+        self.clock.fetch_add(1, Ordering::Relaxed) + 1
+    }
+}
+
+/// One cache layer: `SHARDS` independently locked maps, the layer's byte
+/// footprint of an entry, and the entry protocol every layer shares (module
+/// docs).
+struct Layer<K, V> {
+    shards: Vec<Mutex<HashMap<K, Entry<V>>>>,
+    footprint: fn(&K, &V) -> u64,
+}
+
+impl<K: Hash + Eq, V> Layer<K, V> {
+    fn new(footprint: fn(&K, &V) -> u64) -> Self {
+        Layer { shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(), footprint }
+    }
+
+    /// The stripe of `key`, hashed in the borrowed form lookups use (a
+    /// `Vec<u8>` key and its `&[u8]` lookup hash alike).
+    fn shard_of<Q: Hash + ?Sized>(key: &Q) -> usize {
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        (h.finish() as usize) % SHARDS
+    }
+
+    /// Locks stripe `i`. A stripe a panicking holder poisoned is emptied
+    /// first — its entries count as invalidated and return their bytes.
+    fn shard(&self, t: &Tally, i: usize) -> MutexGuard<'_, HashMap<K, Entry<V>>> {
+        let (mut map, poisoned) = lock(&self.shards[i]);
+        if poisoned {
+            let freed: u64 = map.values().map(|e| e.bytes).sum();
+            t.bytes.fetch_sub(freed, Ordering::Relaxed);
+            t.invalidated.fetch_add(map.len() as u64, Ordering::Relaxed);
+            map.clear();
+        }
+        map
+    }
+
+    /// Looks `key` up as seen from epoch `pin` (read fence), stamping a hit
+    /// most-recently-used and counting the hit or miss.
+    fn get<Q>(&self, t: &Tally, pin: u64, key: &Q) -> Option<Arc<V>>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let mut map = self.shard(t, Self::shard_of(key));
+        match map.get_mut(key) {
+            Some(entry) if entry.epoch <= pin => {
+                entry.stamp = t.tick();
+                t.hits.fetch_add(1, Ordering::Relaxed);
+                Some(Arc::clone(&entry.value))
+            }
+            _ => {
+                t.misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
+    }
+
+    /// Inserts `value` computed at epoch `pin` over the tables in `mask`,
+    /// unless the cache has moved past `pin` (write fence) or an entry is
+    /// already resident (it wins the race). Returns the canonical value —
+    /// the resident one when visible at `pin` — and the bytes added.
+    fn insert(&self, t: &Tally, pin: u64, key: K, mask: u64, value: V) -> (Arc<V>, u64) {
+        let stamp = t.tick();
+        let mut map = self.shard(t, Self::shard_of(&key));
+        if pin != t.epoch.load(Ordering::SeqCst) {
+            return (Arc::new(value), 0);
+        }
+        if let Some(existing) = map.get(&key) {
+            let value =
+                if existing.epoch <= pin { Arc::clone(&existing.value) } else { Arc::new(value) };
+            return (value, 0);
+        }
+        let bytes = (self.footprint)(&key, &value);
+        let value = Arc::new(value);
+        map.insert(key, Entry { value: Arc::clone(&value), bytes, stamp, epoch: pin, mask });
+        t.bytes.fetch_add(bytes, Ordering::Relaxed);
+        (value, bytes)
+    }
+
+    /// Removes every entry of stripes `shards` that `keep` rejects,
+    /// returning each one's bytes as it goes. Returns the number removed.
+    fn retain(
+        &self,
+        t: &Tally,
+        shards: Range<usize>,
+        mut keep: impl FnMut(&K, &Entry<V>) -> bool,
+    ) -> u64 {
+        let mut removed = 0;
+        for i in shards {
+            self.shard(t, i).retain(|k, e| {
+                let kept = keep(k, e);
+                if !kept {
+                    t.bytes.fetch_sub(e.bytes, Ordering::Relaxed);
+                    removed += 1;
+                }
+                kept
+            });
+        }
+        removed
+    }
+
+    /// Number of resident entries.
+    fn len(&self, t: &Tally) -> usize {
+        (0..SHARDS).map(|i| self.shard(t, i).len()).sum()
+    }
+}
+
+/// What the store-wide passes — eviction, purge, byte audit — need of a
+/// layer, whatever its key and value types.
+trait AnyLayer {
+    /// Stamp and stripe of the layer's least-recently-used entry.
+    fn oldest(&self, t: &Tally) -> Option<(u64, usize)>;
+    /// Removes the entry stamped `stamp` from stripe `shard` (none if a
+    /// racing touch restamped it); returns the number removed.
+    fn evict(&self, t: &Tally, shard: usize, stamp: u64) -> u64;
+    /// Removes every entry; returns the number removed.
+    fn clear(&self, t: &Tally) -> u64;
+    /// Sum of resident entry footprints, recomputed.
+    fn resident_bytes(&self, t: &Tally) -> u64;
+}
+
+impl<K: Hash + Eq, V> AnyLayer for Layer<K, V> {
+    fn oldest(&self, t: &Tally) -> Option<(u64, usize)> {
+        (0..SHARDS)
+            .filter_map(|i| self.shard(t, i).values().map(|e| e.stamp).min().map(|s| (s, i)))
+            .min()
+    }
+
+    fn evict(&self, t: &Tally, shard: usize, stamp: u64) -> u64 {
+        self.retain(t, shard..shard + 1, |_, e| e.stamp != stamp)
+    }
+
+    fn clear(&self, t: &Tally) -> u64 {
+        self.retain(t, 0..SHARDS, |_, _| false)
+    }
+
+    fn resident_bytes(&self, t: &Tally) -> u64 {
+        (0..SHARDS).map(|i| self.shard(t, i).values().map(|e| e.bytes).sum::<u64>()).sum()
+    }
 }
 
 /// The cross-probe evaluation cache shared by all probes (and all parallel
@@ -152,22 +302,20 @@ enum Victim {
 /// every session of a serving process. See the module docs for the layers,
 /// the epoch contract and the LRU byte budget.
 pub struct EvalCache {
-    selections: Striped<SelectionKey, Vec<RowId>>,
+    selections: Layer<SelectionKey, Vec<RowId>>,
     /// Per-column value→rows postings of a cached selection — the derived
     /// sets probes attach as `PlanNode::col_postings`, extracted once per
     /// (selection, column) per epoch.
-    sel_postings: Striped<(SelectionKey, ColId), ValuePostings>,
-    subtrees: Striped<Vec<u8>, Vec<i64>>,
+    sel_postings: Layer<(SelectionKey, ColId), ValuePostings>,
+    subtrees: Layer<Vec<u8>, Vec<i64>>,
     /// Completed whole-network verdicts by canonical binding key (see
     /// [`network_key`]); `true` = alive.
-    verdicts: Striped<Vec<u8>, bool>,
+    verdicts: Layer<Vec<u8>, bool>,
+    /// Keyword → id. Ids are only ever appended, so a panicking holder
+    /// cannot leave it inconsistent; it survives poisoning intact (emptying
+    /// it would hand an old id to a new keyword).
     interner: Mutex<HashMap<String, u64>>,
-    /// Sum of resident entry footprints. Incremented on insert, decremented
-    /// on eviction and invalidation — `bytes() == accounted_bytes()` is the
-    /// accounting identity the shared-cache suite asserts.
-    bytes: AtomicU64,
-    /// Logical LRU clock; every touch (insert or hit) takes the next tick.
-    clock: AtomicU64,
+    tally: Tally,
     /// Byte budget (`None` = unbounded, the session-scoped default). When an
     /// insert pushes `bytes` past it, least-recently-stamped entries are
     /// evicted until the store fits.
@@ -175,16 +323,6 @@ pub struct EvalCache {
     /// [`Database::db_id`] this cache was built for (0 = session-private
     /// caches built before the substrate existed; real builds always stamp).
     db_id: u64,
-    /// Database epoch the resident entries are valid at. Advanced by
-    /// [`EvalCache::invalidate`] *before* the eviction scan, so stale-pinned
-    /// writers are fenced out while the scan runs.
-    epoch: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    /// Entries evicted by [`EvalCache::invalidate`] (distinct from LRU
-    /// `evictions`).
-    invalidated: AtomicU64,
     /// Serializes evictors so concurrent over-budget inserts don't stampede
     /// the shard scan; held only during eviction, never during lookups.
     evict_lock: Mutex<()>,
@@ -202,57 +340,69 @@ impl EvalCache {
     /// bounded by `budget` payload bytes (`None` = unbounded).
     pub fn with_identity(db_id: u64, epoch: u64, budget: Option<u64>) -> EvalCache {
         EvalCache {
-            selections: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            sel_postings: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            subtrees: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            verdicts: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            selections: Layer::new(|_, rows| std::mem::size_of_val(rows.as_slice()) as u64),
+            sel_postings: Layer::new(|_, postings| postings.payload_bytes()),
+            subtrees: Layer::new(|key, values| {
+                (key.len() + std::mem::size_of_val(values.as_slice())) as u64
+            }),
+            verdicts: Layer::new(|key, _| (key.len() + 1) as u64),
             interner: Mutex::new(HashMap::new()),
-            bytes: AtomicU64::new(0),
-            clock: AtomicU64::new(0),
+            tally: Tally { epoch: AtomicU64::new(epoch), ..Tally::default() },
             budget,
             db_id,
-            epoch: AtomicU64::new(epoch),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidated: AtomicU64::new(0),
             evict_lock: Mutex::new(()),
         }
     }
 
-    /// The next logical-clock tick (monotone across threads).
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
+    /// The four layers, for the store-wide passes.
+    fn layers(&self) -> [&dyn AnyLayer; 4] {
+        [&self.selections, &self.sel_postings, &self.subtrees, &self.verdicts]
     }
 
     /// Stable per-cache id of a keyword string (used in binding labels and
     /// selection keys, so entries survive across queries sharing keywords).
     pub fn intern(&self, keyword: &str) -> u64 {
-        let mut map = self.interner.lock().expect("interner poisoned");
+        let (mut map, _) = lock(&self.interner);
         let next = map.len() as u64;
         *map.entry(keyword.to_owned()).or_insert(next)
     }
 
-    /// Whether an entry stamped `entry_epoch` may be served to a reader
-    /// pinned at `pin`: the entry must not come from a future snapshot.
-    /// (Entries from *past* epochs are safe — invalidation removed every
-    /// entry a later write dirtied, so a surviving old entry is bitwise what
-    /// the reader's snapshot would compute.)
-    fn visible(entry_epoch: u64, pin: u64) -> bool {
-        entry_epoch <= pin
+    /// [`Layer::insert`] into `layer`, then evicts down to the budget when
+    /// the insert added bytes.
+    fn put<K: Hash + Eq, V>(
+        &self,
+        layer: &Layer<K, V>,
+        pin: u64,
+        key: K,
+        mask: u64,
+        value: V,
+    ) -> (Arc<V>, u64) {
+        let (value, added) = layer.insert(&self.tally, pin, key, mask, value);
+        if added > 0 {
+            self.maybe_evict();
+        }
+        (value, added)
     }
 
-    /// Whether an insert pinned at `pin` may populate the store: only when
-    /// the pin is the cache's current epoch. Checked under the shard lock so
-    /// it races cleanly with [`EvalCache::invalidate`] publishing a new
-    /// epoch (either the insert lands before the invalidation scan reaches
-    /// the shard — and the scan removes it if dirty — or the inserter
-    /// observes the new epoch and drops the write).
-    fn admissible(&self, pin: u64) -> bool {
-        pin == self.epoch.load(Ordering::SeqCst)
+    /// Get-or-insert on `layer`: a hit, or `compute()` — run outside every
+    /// lock — [`EvalCache::put`]. Returns the value, whether it hit, and the
+    /// bytes newly added.
+    fn fetch<K: Hash + Eq, V>(
+        &self,
+        layer: &Layer<K, V>,
+        pin: u64,
+        key: K,
+        mask: u64,
+        compute: impl FnOnce() -> V,
+    ) -> (Arc<V>, bool, u64) {
+        if let Some(value) = layer.get(&self.tally, pin, &key) {
+            return (value, true, 0);
+        }
+        let (value, added) = self.put(layer, pin, key, mask, compute());
+        (value, false, added)
     }
 
-    /// Looks up a cached selection as seen from epoch `pin`, stamping it
+    /// Looks a selection up as seen from epoch `pin`, stamping it
     /// most-recently-used.
     pub fn selection(
         &self,
@@ -261,20 +411,7 @@ impl EvalCache {
         kw: u64,
         indexed: bool,
     ) -> Option<Arc<Vec<RowId>>> {
-        let key = (table, kw, indexed);
-        let mut shard =
-            self.selections[shard_of(&key)].lock().expect("selection shard poisoned");
-        match shard.get_mut(&key) {
-            Some(entry) if Self::visible(entry.epoch, pin) => {
-                entry.stamp = self.tick();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.value))
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.selections.get(&self.tally, pin, &(table, kw, indexed))
     }
 
     /// Inserts a selection computed at epoch `pin`, keeping the existing
@@ -290,32 +427,26 @@ impl EvalCache {
         indexed: bool,
         rows: Vec<RowId>,
     ) -> (Arc<Vec<RowId>>, u64) {
-        let key = (table, kw, indexed);
-        let stamp = self.tick();
-        let mut shard =
-            self.selections[shard_of(&key)].lock().expect("selection shard poisoned");
-        if !self.admissible(pin) {
-            return (Arc::new(rows), 0);
-        }
-        if let Some(existing) = shard.get(&key) {
-            if Self::visible(existing.epoch, pin) {
-                return (Arc::clone(&existing.value), 0);
-            }
-            return (Arc::new(rows), 0);
-        }
-        let bytes = std::mem::size_of_val(rows.as_slice()) as u64;
-        let arc = Arc::new(rows);
-        let mask = table_mask_bit(table);
-        shard.insert(key, Entry { value: Arc::clone(&arc), bytes, stamp, epoch: pin, mask });
-        drop(shard);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.maybe_evict();
-        (arc, bytes)
+        self.put(&self.selections, pin, (table, kw, indexed), table_mask_bit(table), rows)
     }
 
-    /// Looks up the cached value→rows postings of selection
-    /// `(table, kw, indexed)` in column `col` as seen from epoch `pin`,
-    /// stamping them most-recently-used.
+    /// The selection `(table, kw, indexed)` as seen from epoch `pin`, or
+    /// `compute()` published: the selection, whether it hit, and the bytes
+    /// newly added.
+    pub(crate) fn selection_or_insert_with(
+        &self,
+        pin: u64,
+        table: TableId,
+        kw: u64,
+        indexed: bool,
+        compute: impl FnOnce() -> Vec<RowId>,
+    ) -> (Arc<Vec<RowId>>, bool, u64) {
+        self.fetch(&self.selections, pin, (table, kw, indexed), table_mask_bit(table), compute)
+    }
+
+    /// Looks up the value→rows postings of selection `(table, kw, indexed)`
+    /// in column `col` as seen from epoch `pin`, stamping them
+    /// most-recently-used.
     pub fn selection_postings(
         &self,
         pin: u64,
@@ -324,20 +455,7 @@ impl EvalCache {
         indexed: bool,
         col: ColId,
     ) -> Option<Arc<ValuePostings>> {
-        let key = ((table, kw, indexed), col);
-        let mut shard =
-            self.sel_postings[shard_of(&key)].lock().expect("selection-postings shard poisoned");
-        match shard.get_mut(&key) {
-            Some(entry) if Self::visible(entry.epoch, pin) => {
-                entry.stamp = self.tick();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.value))
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.sel_postings.get(&self.tally, pin, &((table, kw, indexed), col))
     }
 
     /// Inserts the value→rows postings of a selection in one column, keeping
@@ -354,43 +472,29 @@ impl EvalCache {
         postings: ValuePostings,
     ) -> (Arc<ValuePostings>, u64) {
         let key = ((table, kw, indexed), col);
-        let stamp = self.tick();
-        let mut shard =
-            self.sel_postings[shard_of(&key)].lock().expect("selection-postings shard poisoned");
-        if !self.admissible(pin) {
-            return (Arc::new(postings), 0);
-        }
-        if let Some(existing) = shard.get(&key) {
-            if Self::visible(existing.epoch, pin) {
-                return (Arc::clone(&existing.value), 0);
-            }
-            return (Arc::new(postings), 0);
-        }
-        let bytes = postings.payload_bytes();
-        let arc = Arc::new(postings);
-        let mask = table_mask_bit(table);
-        shard.insert(key, Entry { value: Arc::clone(&arc), bytes, stamp, epoch: pin, mask });
-        drop(shard);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.maybe_evict();
-        (arc, bytes)
+        self.put(&self.sel_postings, pin, key, table_mask_bit(table), postings)
+    }
+
+    /// The postings of selection `(table, kw, indexed)` in column `col` as
+    /// seen from epoch `pin`, or `compute()` published: the postings, whether
+    /// they hit, and the bytes newly added.
+    pub(crate) fn selection_postings_or_insert_with(
+        &self,
+        pin: u64,
+        table: TableId,
+        kw: u64,
+        indexed: bool,
+        col: ColId,
+        compute: impl FnOnce() -> ValuePostings,
+    ) -> (Arc<ValuePostings>, bool, u64) {
+        let key = ((table, kw, indexed), col);
+        self.fetch(&self.sel_postings, pin, key, table_mask_bit(table), compute)
     }
 
     /// Looks up a cached subtree value-set by its binding key as seen from
     /// epoch `pin`, stamping it most-recently-used.
     pub fn subtree(&self, pin: u64, key: &[u8]) -> Option<Arc<Vec<i64>>> {
-        let mut shard = self.subtrees[shard_of(&key)].lock().expect("subtree shard poisoned");
-        match shard.get_mut(key) {
-            Some(entry) if Self::visible(entry.epoch, pin) => {
-                entry.stamp = self.tick();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.value))
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.subtrees.get(&self.tally, pin, key)
     }
 
     /// Inserts a subtree value-set computed at epoch `pin` over the tables in
@@ -404,41 +508,13 @@ impl EvalCache {
         tables_mask: u64,
         values: Vec<i64>,
     ) -> u64 {
-        let stamp = self.tick();
-        let shard = shard_of(&key.as_slice());
-        let mut map = self.subtrees[shard].lock().expect("subtree shard poisoned");
-        if !self.admissible(pin) {
-            return 0;
-        }
-        if map.contains_key(key.as_slice()) {
-            return 0;
-        }
-        let bytes = (key.len() + std::mem::size_of_val(values.as_slice())) as u64;
-        map.insert(
-            key,
-            Entry { value: Arc::new(values), bytes, stamp, epoch: pin, mask: tables_mask },
-        );
-        drop(map);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.maybe_evict();
-        bytes
+        self.put(&self.subtrees, pin, key, tables_mask, values).1
     }
 
     /// Looks up a completed whole-network verdict by canonical binding key as
     /// seen from epoch `pin`, stamping it most-recently-used.
     pub fn verdict(&self, pin: u64, key: &[u8]) -> Option<bool> {
-        let mut shard = self.verdicts[shard_of(&key)].lock().expect("verdict shard poisoned");
-        match shard.get_mut(key) {
-            Some(entry) if Self::visible(entry.epoch, pin) => {
-                entry.stamp = self.tick();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(*entry.value)
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.verdicts.get(&self.tally, pin, key).map(|alive| *alive)
     }
 
     /// Inserts a completed whole-network verdict computed at epoch `pin` over
@@ -446,55 +522,37 @@ impl EvalCache {
     /// dropping fenced-out writes. Returns the bytes newly added (0 when it
     /// lost the race or was fenced).
     pub fn insert_verdict(&self, pin: u64, key: Vec<u8>, tables_mask: u64, alive: bool) -> u64 {
-        let stamp = self.tick();
-        let shard = shard_of(&key.as_slice());
-        let mut map = self.verdicts[shard].lock().expect("verdict shard poisoned");
-        if !self.admissible(pin) {
-            return 0;
-        }
-        if map.contains_key(key.as_slice()) {
-            return 0;
-        }
-        let bytes = (key.len() + 1) as u64;
-        map.insert(
-            key,
-            Entry { value: Arc::new(alive), bytes, stamp, epoch: pin, mask: tables_mask },
-        );
-        drop(map);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.maybe_evict();
-        bytes
+        self.put(&self.verdicts, pin, key, tables_mask, alive).1
     }
 
     /// Advances the cache to `db`'s current epoch, evicting exactly the
-    /// entries the intervening write deltas can have changed (module docs,
-    /// rule 3). Returns the number of entries invalidated.
-    ///
-    /// The new epoch is published *before* the eviction scan, so writers
-    /// still pinned at the old epoch are fenced out of every shard the scan
-    /// has yet to reach (and any stale entry that slips into a shard before
-    /// the scan gets there is removed by the scan itself if dirty —
-    /// see `EvalCache::admissible`).
-    ///
-    /// When the database's delta log no longer covers this cache's epoch,
-    /// nothing can be proven clean and the whole store is purged.
+    /// entries the intervening write deltas can have changed, or everything
+    /// when the delta log no longer covers this cache's epoch (module docs,
+    /// rules 2–3). Returns the number of entries invalidated.
     pub fn invalidate(&self, db: &Database) -> u64 {
         if db.db_id() != self.db_id {
             return 0;
         }
-        let from = self.epoch.load(Ordering::SeqCst);
+        let from = self.epoch();
         let to = db.epoch();
         if to <= from {
             return 0;
         }
-        self.epoch.store(to, Ordering::SeqCst);
+        self.tally.epoch.store(to, Ordering::SeqCst);
         let deltas = db.deltas_since(from);
         // One delta per epoch bump: a shorter slice means the log was
         // truncated past `from` and the gap is unauditable.
-        if deltas.len() as u64 != to - from {
-            return self.purge_all();
-        }
+        let removed = if deltas.len() as u64 != to - from {
+            self.layers().iter().map(|layer| layer.clear(&self.tally)).sum()
+        } else {
+            self.remove_dirty(db, deltas)
+        };
+        self.tally.invalidated.fetch_add(removed, Ordering::Relaxed);
+        removed
+    }
 
+    /// Removes the entries `deltas` dirtied; returns how many.
+    fn remove_dirty(&self, db: &Database, deltas: &[EpochDelta]) -> u64 {
         // Per-table dirt gathered from the deltas: the changed text values
         // (ASCII-lowercased, matching the containment predicate), the set of
         // written columns, and the union bitmask for subtree/verdict
@@ -514,43 +572,22 @@ impl EvalCache {
                 .map(|(i, _)| i)
                 .collect();
             let texts = dirty_text.entry(d.table).or_default();
+            let mut push = |row: &[Value], cols: &[ColId]| {
+                let text = cols.iter().filter_map(|&c| row[c].as_text());
+                texts.extend(text.map(str::to_ascii_lowercase));
+            };
             match d.kind {
-                DeltaKind::Append => {
-                    for &rid in &d.rows {
-                        let row = t.row(rid);
-                        for &c in &text_cols {
-                            if let Some(s) = row[c].as_text() {
-                                texts.push(s.to_ascii_lowercase());
-                            }
-                        }
-                    }
-                }
+                DeltaKind::Append => d.rows.iter().for_each(|&rid| push(t.row(rid), &text_cols)),
                 DeltaKind::Update => {
                     dirty_cols.entry(d.table).or_default().extend(d.cols.iter().copied());
+                    let cols: Vec<ColId> =
+                        d.cols.iter().copied().filter(|c| text_cols.contains(c)).collect();
                     for (rid, old) in &d.old {
-                        let new_row = t.row(*rid);
-                        for &c in &d.cols {
-                            if !text_cols.contains(&c) {
-                                continue;
-                            }
-                            if let Some(s) = old[c].as_text() {
-                                texts.push(s.to_ascii_lowercase());
-                            }
-                            if let Some(s) = new_row[c].as_text() {
-                                texts.push(s.to_ascii_lowercase());
-                            }
-                        }
+                        push(old, &cols);
+                        push(t.row(*rid), &cols);
                     }
                 }
-                DeltaKind::Delete => {
-                    for (_, old) in &d.old {
-                        for &c in &text_cols {
-                            if let Some(s) = old[c].as_text() {
-                                texts.push(s.to_ascii_lowercase());
-                            }
-                        }
-                    }
-                }
+                DeltaKind::Delete => d.old.iter().for_each(|(_, old)| push(old, &text_cols)),
             }
         }
 
@@ -558,7 +595,7 @@ impl EvalCache {
         // table contains the keyword — the exact condition under which a row
         // enters, leaves, or re-enters the predicate's answer.
         let dirty_kws: HashSet<(TableId, u64)> = {
-            let interner = self.interner.lock().expect("interner poisoned");
+            let (interner, _) = lock(&self.interner);
             let mut dirty = HashSet::new();
             for (kw, &id) in interner.iter() {
                 let kw_lower = kw.to_ascii_lowercase();
@@ -571,217 +608,56 @@ impl EvalCache {
             dirty
         };
 
-        let mut removed = 0u64;
-        let mut freed = 0u64;
-        for shard in &self.selections {
-            let mut map = shard.lock().expect("selection shard poisoned");
-            map.retain(|k, e| {
-                let dirty = dirty_kws.contains(&(k.0, k.1));
-                if dirty {
-                    freed += e.bytes;
-                    removed += 1;
-                }
-                !dirty
-            });
-        }
+        let t = &self.tally;
         // Postings are derived from (selection rows, column values): dirty
         // when the selection is, or when the column itself was updated under
         // a surviving selection. Appends and deletes need no extra test —
         // they change a selection's postings only by changing the selection,
         // and a row joining or leaving a selection always carries the keyword
-        // in its text, which the selection test above already catches.
-        for shard in &self.sel_postings {
-            let mut map = shard.lock().expect("selection-postings shard poisoned");
-            map.retain(|(sel, col), e| {
-                let dirty = dirty_kws.contains(&(sel.0, sel.1))
-                    || dirty_cols.get(&sel.0).is_some_and(|cols| cols.contains(col));
-                if dirty {
-                    freed += e.bytes;
-                    removed += 1;
-                }
-                !dirty
-            });
-        }
-        for shard in &self.subtrees {
-            let mut map = shard.lock().expect("subtree shard poisoned");
-            map.retain(|_, e| {
-                let dirty = e.mask & dirty_mask != 0;
-                if dirty {
-                    freed += e.bytes;
-                    removed += 1;
-                }
-                !dirty
-            });
-        }
-        for shard in &self.verdicts {
-            let mut map = shard.lock().expect("verdict shard poisoned");
-            map.retain(|_, e| {
-                let dirty = e.mask & dirty_mask != 0;
-                if dirty {
-                    freed += e.bytes;
-                    removed += 1;
-                }
-                !dirty
-            });
-        }
-        self.bytes.fetch_sub(freed, Ordering::Relaxed);
-        self.invalidated.fetch_add(removed, Ordering::Relaxed);
-        removed
+        // in its text, which the selection test already catches.
+        self.selections.retain(t, 0..SHARDS, |k, _| !dirty_kws.contains(&(k.0, k.1)))
+            + self.sel_postings.retain(t, 0..SHARDS, |(sel, col), _| {
+                !dirty_kws.contains(&(sel.0, sel.1))
+                    && !dirty_cols.get(&sel.0).is_some_and(|cols| cols.contains(col))
+            })
+            + self.subtrees.retain(t, 0..SHARDS, |_, e| e.mask & dirty_mask == 0)
+            + self.verdicts.retain(t, 0..SHARDS, |_, e| e.mask & dirty_mask == 0)
     }
 
-    /// Removes every resident entry (delta log truncated past this cache's
-    /// epoch — nothing can be proven clean). Returns the entry count.
-    fn purge_all(&self) -> u64 {
-        let mut removed = 0u64;
-        let mut freed = 0u64;
-        let drain = |freed: &mut u64, removed: &mut u64, bytes: u64, n: usize| {
-            *freed += bytes;
-            *removed += n as u64;
-        };
-        for shard in &self.selections {
-            let mut map = shard.lock().expect("selection shard poisoned");
-            drain(&mut freed, &mut removed, map.values().map(|e| e.bytes).sum(), map.len());
-            map.clear();
-        }
-        for shard in &self.sel_postings {
-            let mut map = shard.lock().expect("selection-postings shard poisoned");
-            drain(&mut freed, &mut removed, map.values().map(|e| e.bytes).sum(), map.len());
-            map.clear();
-        }
-        for shard in &self.subtrees {
-            let mut map = shard.lock().expect("subtree shard poisoned");
-            drain(&mut freed, &mut removed, map.values().map(|e| e.bytes).sum(), map.len());
-            map.clear();
-        }
-        for shard in &self.verdicts {
-            let mut map = shard.lock().expect("verdict shard poisoned");
-            drain(&mut freed, &mut removed, map.values().map(|e| e.bytes).sum(), map.len());
-            map.clear();
-        }
-        self.bytes.fetch_sub(freed, Ordering::Relaxed);
-        self.invalidated.fetch_add(removed, Ordering::Relaxed);
-        removed
-    }
-
-    /// Evicts least-recently-used entries until the store fits its budget.
-    /// Eviction is approximate LRU (the global minimum stamp at scan time);
-    /// losing a race with a concurrent touch merely evicts a slightly-stale
-    /// victim, never corrupts accounting. Each removed entry returns its
-    /// footprint to [`EvalCache::bytes`] and counts one eviction.
+    /// Evicts the entry with the globally smallest stamp, across all four
+    /// layers, until the store fits its budget. Losing a race with a
+    /// concurrent touch only spares that entry this round.
     fn maybe_evict(&self) {
         let Some(budget) = self.budget else { return };
-        if self.bytes.load(Ordering::Relaxed) <= budget {
+        if self.bytes() <= budget {
             return;
         }
-        let _guard = self.evict_lock.lock().expect("evict lock poisoned");
-        while self.bytes.load(Ordering::Relaxed) > budget {
-            // Find the globally oldest entry across all three maps.
-            let mut best: Option<(u64, Victim)> = None;
-            let better = |best: &Option<(u64, Victim)>, stamp: u64| {
-                best.as_ref().is_none_or(|(s, _)| stamp < *s)
-            };
-            for shard in &self.selections {
-                for (k, e) in shard.lock().expect("selection shard poisoned").iter() {
-                    if better(&best, e.stamp) {
-                        best = Some((e.stamp, Victim::Selection(*k)));
-                    }
-                }
-            }
-            for shard in &self.sel_postings {
-                for (k, e) in shard.lock().expect("selection-postings shard poisoned").iter() {
-                    if better(&best, e.stamp) {
-                        best = Some((e.stamp, Victim::Postings(*k)));
-                    }
-                }
-            }
-            for shard in &self.subtrees {
-                for (k, e) in shard.lock().expect("subtree shard poisoned").iter() {
-                    if better(&best, e.stamp) {
-                        best = Some((e.stamp, Victim::Subtree(k.clone())));
-                    }
-                }
-            }
-            for shard in &self.verdicts {
-                for (k, e) in shard.lock().expect("verdict shard poisoned").iter() {
-                    if better(&best, e.stamp) {
-                        best = Some((e.stamp, Victim::Verdict(k.clone())));
-                    }
-                }
-            }
-            let Some((_, victim)) = best else { break };
-            let freed = match victim {
-                Victim::Selection(k) => self.selections[shard_of(&k)]
-                    .lock()
-                    .expect("selection shard poisoned")
-                    .remove(&k)
-                    .map(|e| e.bytes),
-                Victim::Postings(k) => self.sel_postings[shard_of(&k)]
-                    .lock()
-                    .expect("selection-postings shard poisoned")
-                    .remove(&k)
-                    .map(|e| e.bytes),
-                Victim::Subtree(k) => self.subtrees[shard_of(&k.as_slice())]
-                    .lock()
-                    .expect("subtree shard poisoned")
-                    .remove(k.as_slice())
-                    .map(|e| e.bytes),
-                Victim::Verdict(k) => self.verdicts[shard_of(&k.as_slice())]
-                    .lock()
-                    .expect("verdict shard poisoned")
-                    .remove(k.as_slice())
-                    .map(|e| e.bytes),
-            };
-            if let Some(freed) = freed {
-                self.bytes.fetch_sub(freed, Ordering::Relaxed);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+        let _guard = lock(&self.evict_lock);
+        while self.bytes() > budget {
+            let oldest = self
+                .layers()
+                .into_iter()
+                .filter_map(|layer| {
+                    layer.oldest(&self.tally).map(|(stamp, shard)| (stamp, shard, layer))
+                })
+                .min_by_key(|&(stamp, ..)| stamp);
+            let Some((stamp, shard, layer)) = oldest else { break };
+            let removed = layer.evict(&self.tally, shard, stamp);
+            self.tally.evictions.fetch_add(removed, Ordering::Relaxed);
         }
     }
 
-    /// Total payload bytes currently resident (selections + postings +
-    /// subtree sets + verdicts). Decremented on eviction and invalidation;
+    /// Total payload bytes currently resident, across all four layers;
     /// always equals [`EvalCache::accounted_bytes`].
     pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+        self.tally.bytes.load(Ordering::Relaxed)
     }
 
     /// Recomputes the resident footprint by walking every shard — the slow
     /// ground truth for the `bytes()` accounting identity, used by the
     /// shared-cache differential suite.
     pub fn accounted_bytes(&self) -> u64 {
-        let sel: u64 = self
-            .selections
-            .iter()
-            .map(|s| {
-                s.lock().expect("selection shard poisoned").values().map(|e| e.bytes).sum::<u64>()
-            })
-            .sum();
-        let post: u64 = self
-            .sel_postings
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("selection-postings shard poisoned")
-                    .values()
-                    .map(|e| e.bytes)
-                    .sum::<u64>()
-            })
-            .sum();
-        let sub: u64 = self
-            .subtrees
-            .iter()
-            .map(|s| {
-                s.lock().expect("subtree shard poisoned").values().map(|e| e.bytes).sum::<u64>()
-            })
-            .sum();
-        let ver: u64 = self
-            .verdicts
-            .iter()
-            .map(|s| {
-                s.lock().expect("verdict shard poisoned").values().map(|e| e.bytes).sum::<u64>()
-            })
-            .sum();
-        sel + post + sub + ver
+        self.layers().iter().map(|layer| layer.resident_bytes(&self.tally)).sum()
     }
 
     /// The byte budget, if this cache is bounded.
@@ -796,55 +672,53 @@ impl EvalCache {
 
     /// Database epoch the resident entries are valid at.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
+        self.tally.epoch.load(Ordering::SeqCst)
     }
 
-    /// Lookups answered from the cache (all three layers).
+    /// Lookups answered from the cache (all four layers).
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.tally.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that found nothing (all three layers).
+    /// Lookups that found nothing (all four layers).
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.tally.misses.load(Ordering::Relaxed)
     }
 
     /// Entries evicted to keep the store within its byte budget.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.tally.evictions.load(Ordering::Relaxed)
     }
 
-    /// Entries evicted by write-delta invalidation.
+    /// Entries removed by write-delta invalidation (and by purges and
+    /// poison recovery).
     pub fn invalidated(&self) -> u64 {
-        self.invalidated.load(Ordering::Relaxed)
+        self.tally.invalidated.load(Ordering::Relaxed)
     }
 
     /// Number of cached selections.
     pub fn selection_entries(&self) -> usize {
-        self.selections.iter().map(|s| s.lock().expect("selection shard poisoned").len()).sum()
+        self.selections.len(&self.tally)
     }
 
     /// Number of cached per-column selection postings.
     pub fn postings_entries(&self) -> usize {
-        self.sel_postings
-            .iter()
-            .map(|s| s.lock().expect("selection-postings shard poisoned").len())
-            .sum()
+        self.sel_postings.len(&self.tally)
     }
 
     /// Number of cached subtree value-sets.
     pub fn subtree_entries(&self) -> usize {
-        self.subtrees.iter().map(|s| s.lock().expect("subtree shard poisoned").len()).sum()
+        self.subtrees.len(&self.tally)
     }
 
     /// Number of cached whole-network verdicts.
     pub fn verdict_entries(&self) -> usize {
-        self.verdicts.iter().map(|s| s.lock().expect("verdict shard poisoned").len()).sum()
+        self.verdicts.len(&self.tally)
     }
 
     /// Number of interned keywords.
     pub fn interned_keywords(&self) -> usize {
-        self.interner.lock().expect("interner poisoned").len()
+        lock(&self.interner).0.len()
     }
 }
 
@@ -855,19 +729,13 @@ impl Default for EvalCache {
 }
 
 /// A process-wide evaluation cache handle, shared by every session of a
-/// serving process (DESIGN.md §12–§13, CACHING.md).
-///
-/// Wraps one [`EvalCache`] keyed by **database identity** `(db_id, epoch)`
-/// and bounded by a **byte-budget LRU**: sessions built over the same
-/// [`crate::debugger::SharedParts`] reuse each other's keyword selections and
-/// subtree semi-join value-sets, so a keyword one tenant warmed is free for
-/// the next. Cloning shares the store (reference-count bump). Attach with
+/// serving process (DESIGN.md §12–§13, CACHING.md): one [`EvalCache`], so a
+/// keyword one tenant warmed is free for the next. Cloning shares the store;
+/// `Deref` reaches every [`EvalCache`] method. Attach with
 /// [`crate::debugger::SharedParts::share_eval_cache`] (which stamps the
 /// matching identity) or [`crate::debugger::SharedParts::adopt_eval_cache`]
-/// (which validates it); the serving layer's `ServeConfig::shared_cache` knob
-/// does this per server. After writes, [`SharedEvalCache::invalidate`]
-/// advances the store to the database's new epoch in place — sessions pinned
-/// at older epochs keep reading their entries through the epoch fence.
+/// (which validates it). After writes, [`EvalCache::invalidate`] advances
+/// the store in place; older-pinned sessions keep reading through the fence.
 #[derive(Clone)]
 pub struct SharedEvalCache {
     inner: Arc<EvalCache>,
@@ -884,67 +752,13 @@ impl SharedEvalCache {
     pub fn handle(&self) -> Arc<EvalCache> {
         Arc::clone(&self.inner)
     }
+}
 
-    /// [`Database::db_id`] the store was built for.
-    pub fn db_id(&self) -> u64 {
-        self.inner.db_id()
-    }
+impl Deref for SharedEvalCache {
+    type Target = EvalCache;
 
-    /// Database epoch the store currently serves.
-    pub fn epoch(&self) -> u64 {
-        self.inner.epoch()
-    }
-
-    /// Advances the store to `db`'s current epoch, selectively evicting
-    /// entries the intervening write deltas dirtied. Returns the number of
-    /// entries invalidated. See [`EvalCache::invalidate`].
-    pub fn invalidate(&self, db: &Database) -> u64 {
-        self.inner.invalidate(db)
-    }
-
-    /// The byte budget (`None` = unbounded).
-    pub fn budget(&self) -> Option<u64> {
-        self.inner.budget()
-    }
-
-    /// Resident payload bytes (≤ budget after any insert returns).
-    pub fn bytes(&self) -> u64 {
-        self.inner.bytes()
-    }
-
-    /// Lookups answered from the store, across all sessions and layers.
-    pub fn hits(&self) -> u64 {
-        self.inner.hits()
-    }
-
-    /// Lookups that found nothing.
-    pub fn misses(&self) -> u64 {
-        self.inner.misses()
-    }
-
-    /// Entries evicted by the LRU byte budget.
-    pub fn evictions(&self) -> u64 {
-        self.inner.evictions()
-    }
-
-    /// Entries evicted by write-delta invalidation.
-    pub fn invalidated(&self) -> u64 {
-        self.inner.invalidated()
-    }
-
-    /// Number of resident selections (dashboards; see `kws_repl :cache`).
-    pub fn selection_entries(&self) -> usize {
-        self.inner.selection_entries()
-    }
-
-    /// Number of resident subtree value-sets.
-    pub fn subtree_entries(&self) -> usize {
-        self.inner.subtree_entries()
-    }
-
-    /// Number of resident whole-network verdicts.
-    pub fn verdict_entries(&self) -> usize {
-        self.inner.verdict_entries()
+    fn deref(&self) -> &EvalCache {
+        &self.inner
     }
 }
 
@@ -1022,44 +836,24 @@ pub fn subtree_refs(j: &Jnts, db: &Database, vid: &dyn Fn(usize) -> u64) -> Vec<
                 continue;
             }
             let e = &j.edges()[ei];
-            let fk = db.foreign_key(e.fk);
-            let (a_col, b_col) = if e.a_is_from {
-                (fk.from_col, fk.to_col)
-            } else {
-                (fk.to_col, fk.from_col)
-            };
+            let (a_col, b_col) = e.join_cols(db);
             let (child_col, parent_col) =
                 if e.a as usize == v { (a_col, b_col) } else { (b_col, a_col) };
             let mut key = rooted_subtree_key(v, u, &dadj, vid);
             key.extend_from_slice(&(child_col as u64).to_le_bytes());
-            let tables_mask = component_mask(j, &adj, v, u);
+            let tables_mask = 0; // filled in below
             out.push(SubtreeRef { vertex: v, parent: u, child_col, parent_col, key, tables_mask });
             stack.push((v, u));
         }
     }
-    out
-}
-
-/// Union of table bits of the component containing `root` after cutting the
-/// edge to `banned` (the networks are tiny trees, so a fresh DFS per cut is
-/// cheaper than bookkeeping).
-fn component_mask(j: &Jnts, adj: &[Vec<(usize, usize)>], root: usize, banned: usize) -> u64 {
-    let mut mask = 0u64;
-    let mut stack = vec![(root, banned)];
-    let mut visited = vec![false; j.node_count()];
-    while let Some((u, parent)) = stack.pop() {
-        if visited[u] {
-            continue;
-        }
-        visited[u] = true;
-        mask |= table_mask_bit(j.nodes()[u].table);
-        for &(_, v) in &adj[u] {
-            if v != parent && !visited[v] {
-                stack.push((v, u));
-            }
-        }
+    // Every cut follows its parent's, so walking them backwards completes
+    // each component's table set before it joins its parent's.
+    let mut masks: Vec<u64> = j.nodes().iter().map(|ts| table_mask_bit(ts.table)).collect();
+    for r in out.iter_mut().rev() {
+        r.tables_mask = masks[r.vertex];
+        masks[r.parent] |= masks[r.vertex];
     }
-    mask
+    out
 }
 
 #[cfg(test)]
@@ -1390,5 +1184,154 @@ mod tests {
         assert_eq!(c.invalidated(), 1);
         assert_eq!(c.bytes(), c.accounted_bytes(), "no double subtraction");
         assert!(c.bytes() < before);
+    }
+
+    /// One layer driven through its public methods: `insert(cache, pin,
+    /// key, n)` stores an `n`-sized value under key `key` and returns the
+    /// bytes added; `get(cache, pin, key)` returns the size of the value it
+    /// finds; `footprint(n)` is the bytes an `n`-sized entry at key 1 costs.
+    struct LayerOps {
+        name: &'static str,
+        insert: fn(&EvalCache, u64, u8, usize) -> u64,
+        get: fn(&EvalCache, u64, u8) -> Option<usize>,
+        entries: fn(&EvalCache) -> usize,
+        footprint: fn(usize) -> u64,
+    }
+
+    fn postings(n: usize) -> ValuePostings {
+        ValuePostings::build((0..n as i64).map(|v| (v, v as RowId)).collect())
+    }
+
+    fn layer_ops() -> [LayerOps; 4] {
+        [
+            LayerOps {
+                name: "selections",
+                insert: |c, pin, key, n| c.insert_selection(pin, key.into(), 0, true, vec![0; n]).1,
+                get: |c, pin, key| c.selection(pin, key.into(), 0, true).map(|rows| rows.len()),
+                entries: EvalCache::selection_entries,
+                footprint: |n| (n * std::mem::size_of::<RowId>()) as u64,
+            },
+            LayerOps {
+                name: "postings",
+                insert: |c, pin, key, n| {
+                    c.insert_selection_postings(pin, 0, 0, true, key.into(), postings(n)).1
+                },
+                get: |c, pin, key| {
+                    c.selection_postings(pin, 0, 0, true, key.into()).map(|p| p.values().len())
+                },
+                entries: EvalCache::postings_entries,
+                footprint: |n| postings(n).payload_bytes(),
+            },
+            LayerOps {
+                name: "subtrees",
+                insert: |c, pin, key, n| c.insert_subtree(pin, vec![key], 1, vec![0; n]),
+                get: |c, pin, key| c.subtree(pin, &[key]).map(|values| values.len()),
+                entries: EvalCache::subtree_entries,
+                footprint: |n| (1 + n * std::mem::size_of::<i64>()) as u64,
+            },
+            LayerOps {
+                name: "verdicts",
+                insert: |c, pin, key, n| c.insert_verdict(pin, vec![key], 1, n % 2 == 1),
+                get: |c, pin, key| c.verdict(pin, &[key]).map(usize::from),
+                entries: EvalCache::verdict_entries,
+                footprint: |_| 2,
+            },
+        ]
+    }
+
+    #[test]
+    fn every_layer_keeps_the_fences_the_winner_and_the_accounting() {
+        for ops in layer_ops() {
+            let name = ops.name;
+            let c = EvalCache::with_identity(9, 3, None);
+            // Byte accounting: the insert adds exactly the layer's footprint.
+            let added = (ops.insert)(&c, 3, 1, 1);
+            assert_eq!(added, (ops.footprint)(1), "{name}: footprint");
+            assert_eq!((c.bytes(), c.accounted_bytes()), (added, added), "{name}: accounting");
+            // Read fence: an entry stamped epoch 3 is invisible at pin 2.
+            assert_eq!((ops.get)(&c, 2, 1), None, "{name}: entry from the future is invisible");
+            assert_eq!((ops.get)(&c, 3, 1), Some(1), "{name}: visible at its epoch");
+            assert_eq!((ops.get)(&c, 4, 1), Some(1), "{name}: visible after it");
+            assert_eq!((c.hits(), c.misses()), (2, 1), "{name}: hit/miss counters");
+            // Keep-the-winner: a losing insert adds nothing and changes nothing.
+            assert_eq!((ops.insert)(&c, 3, 1, 2), 0, "{name}: losing insert adds no bytes");
+            assert_eq!((ops.get)(&c, 3, 1), Some(1), "{name}: the first entry wins");
+            // Write fence: only inserts pinned at the cache's epoch land.
+            assert_eq!((ops.insert)(&c, 2, 2, 1), 0, "{name}: stale pin fenced out");
+            assert_eq!((ops.insert)(&c, 4, 2, 1), 0, "{name}: future pin fenced out");
+            assert_eq!((ops.entries)(&c), 1, "{name}: fenced inserts left no entry");
+            assert_eq!((c.bytes(), c.accounted_bytes()), (added, added), "{name}: accounting");
+        }
+    }
+
+    fn poisoned<K, V>(layer: &Layer<K, V>) -> bool {
+        layer.shards.iter().any(|s| s.is_poisoned())
+    }
+
+    #[test]
+    fn poisoned_shards_are_emptied_and_the_cache_keeps_serving() {
+        fn poison<R>(f: impl FnOnce() -> R) {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+            assert!(caught.is_err(), "the injected panic fired");
+        }
+
+        let mut db = writable_db();
+        let color = db.table_id("color").expect("table");
+        let c = EvalCache::with_identity(db.db_id(), db.epoch(), None);
+        let red = c.intern("red");
+        let mask = table_mask_bit(color);
+        let fill = |c: &EvalCache| {
+            c.insert_selection(0, color, red, true, vec![0]);
+            c.insert_selection_postings(0, color, red, true, 0, postings(1));
+            c.insert_subtree(0, b"s".to_vec(), mask, vec![1]);
+            c.insert_verdict(0, b"v".to_vec(), mask, true);
+        };
+        fill(&c);
+        // A panic inside each layer's retain poisons the shard it holds.
+        let t = &c.tally;
+        poison(|| c.selections.retain(t, 0..SHARDS, |_, _| panic!("injected")));
+        poison(|| c.sel_postings.retain(t, 0..SHARDS, |_, _| panic!("injected")));
+        poison(|| c.subtrees.retain(t, 0..SHARDS, |_, _| panic!("injected")));
+        poison(|| c.verdicts.retain(t, 0..SHARDS, |_, _| panic!("injected")));
+        poison(|| {
+            let _interner = c.interner.lock();
+            panic!("injected")
+        });
+        assert!(poisoned(&c.selections) && poisoned(&c.sel_postings));
+        assert!(poisoned(&c.subtrees) && poisoned(&c.verdicts));
+
+        // Lookups succeed; each poisoned shard was emptied and its entry
+        // counted as invalidated, with its bytes returned.
+        let pin = c.epoch();
+        assert!(c.selection(pin, color, red, true).is_none());
+        assert!(c.selection_postings(pin, color, red, true, 0).is_none());
+        assert!(c.subtree(pin, b"s").is_none());
+        assert!(c.verdict(pin, b"v").is_none());
+        assert_eq!(c.invalidated(), 4);
+        assert_eq!((c.bytes(), c.accounted_bytes()), (0, 0));
+        assert_eq!(c.intern("red"), red, "the interner survives intact");
+        assert!(!c.interner.is_poisoned());
+        assert!(!poisoned(&c.selections) && !poisoned(&c.sel_postings));
+        assert!(!poisoned(&c.subtrees) && !poisoned(&c.verdicts));
+
+        // Inserts land again, and invalidation after a write still works.
+        fill(&c);
+        assert_eq!(c.postings_entries() + c.verdict_entries(), 2);
+        assert_eq!(c.bytes(), c.accounted_bytes());
+        db.append_rows(color, vec![vec![Value::Int(3), Value::text("dark red")]])
+            .expect("write");
+        assert_eq!(c.invalidate(&db), 4);
+        assert_eq!((c.bytes(), c.accounted_bytes()), (0, 0));
+
+        // A poisoned eviction lock still evicts.
+        let b = EvalCache::with_identity(1, 0, Some(16));
+        poison(|| {
+            let _evicting = b.evict_lock.lock();
+            panic!("injected")
+        });
+        b.insert_selection(0, 0, 0, true, vec![1, 2, 3, 4]);
+        b.insert_selection(0, 1, 1, true, vec![1, 2, 3, 4]);
+        assert_eq!(b.evictions(), 1);
+        assert_eq!(b.bytes(), b.accounted_bytes());
     }
 }

@@ -6,7 +6,7 @@
 //! key/foreign-key joins from the schema graph. The SQL query of a lattice
 //! node is fully determined by its JNTS plus the runtime keyword binding.
 
-use relengine::{FkId, TableId};
+use relengine::{ColId, Database, FkId, TableId};
 
 use crate::schema_graph::Incidence;
 
@@ -49,6 +49,14 @@ pub struct JntsEdge {
     /// Needed to distinguish the two orientations of a self-relationship
     /// (e.g. `cites.citing` vs `cites.cited`).
     pub a_is_from: bool,
+}
+
+impl JntsEdge {
+    /// The join columns of vertex `a` and of vertex `b` in `db`.
+    pub fn join_cols(&self, db: &Database) -> (ColId, ColId) {
+        let fk = db.foreign_key(self.fk);
+        if self.a_is_from { (fk.from_col, fk.to_col) } else { (fk.to_col, fk.from_col) }
+    }
 }
 
 /// A join network of tuple sets: a tree of relation copies.

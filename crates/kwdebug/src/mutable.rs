@@ -12,8 +12,9 @@
 //!    [`relengine::EpochDelta`] dirty set),
 //! 2. through [`InvertedIndex::apply_deltas`] (incremental delta postings,
 //!    threshold compaction — never a drop-and-rebuild),
-//! 3. through [`SharedEvalCache::invalidate`] (selective eviction of exactly
-//!    the entries the delta's dirty sets can have changed).
+//! 3. through [`crate::evalcache::EvalCache::invalidate`] (selective
+//!    eviction of exactly the entries the delta's dirty sets can have
+//!    changed).
 //!
 //! Readers never observe a torn state because the coordinator only mutates
 //! while it holds the **only** reference to the snapshot: a write with

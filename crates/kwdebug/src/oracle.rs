@@ -124,9 +124,7 @@ pub fn build_plan(
     }
     let mut edges = Vec::with_capacity(jnts.join_count());
     for e in jnts.edges() {
-        let fk = db.foreign_key(e.fk);
-        let (a_col, b_col) =
-            if e.a_is_from { (fk.from_col, fk.to_col) } else { (fk.to_col, fk.from_col) };
+        let (a_col, b_col) = e.join_cols(db);
         edges.push(PlanEdge { a: e.a as usize, a_col, b: e.b as usize, b_col });
     }
     JoinTreePlan::new(nodes, edges)
@@ -383,26 +381,16 @@ impl<'a> ProbeCore<'a> {
     /// The shared selection for one bound copy: cache hit, or computed and
     /// published. Counts `selection_cache_hits` / `cache_bytes`.
     fn shared_selection(&self, cache: &EvalCache, table: TableId, kw: &str) -> Arc<Vec<RowId>> {
-        let pin = self.db.epoch();
         let kid = cache.intern(kw);
-        let indexed = self.index.is_some();
-        match cache.selection(pin, table, kid, indexed) {
-            Some(sel) => {
-                self.metrics.selection_cache_hits.incr();
-                sel
-            }
-            None => {
-                let (sel, added) = cache.insert_selection(
-                    pin,
-                    table,
-                    kid,
-                    indexed,
-                    self.compute_selection(table, kw),
-                );
-                self.metrics.cache_bytes.add(added);
-                sel
-            }
+        let (sel, hit, added) =
+            cache.selection_or_insert_with(self.db.epoch(), table, kid, self.index.is_some(), || {
+                self.compute_selection(table, kw)
+            });
+        if hit {
+            self.metrics.selection_cache_hits.incr();
         }
+        self.metrics.cache_bytes.add(added);
+        sel
     }
 
     /// The sorted distinct join values a shared selection holds in `col`:
@@ -419,18 +407,16 @@ impl<'a> ProbeCore<'a> {
         col: ColId,
         sel: &Arc<Vec<RowId>>,
     ) -> Arc<ValuePostings> {
-        let pin = self.db.epoch();
-        let kid = cache.intern(kw);
-        let indexed = self.index.is_some();
-        if let Some(postings) = cache.selection_postings(pin, table, kid, indexed, col) {
-            return postings;
-        }
         let t = self.db.table(table);
-        let postings = ValuePostings::build(
-            sel.iter().filter_map(|&rid| t.row(rid)[col].as_int().map(|v| (v, rid))).collect(),
-        );
-        let (postings, added) =
-            cache.insert_selection_postings(pin, table, kid, indexed, col, postings);
+        let extract = || {
+            ValuePostings::build(
+                sel.iter().filter_map(|&rid| t.row(rid)[col].as_int().map(|v| (v, rid))).collect(),
+            )
+        };
+        let (kid, indexed) = (cache.intern(kw), self.index.is_some());
+        let pin = self.db.epoch();
+        let (postings, _, added) =
+            cache.selection_postings_or_insert_with(pin, table, kid, indexed, col, extract);
         self.metrics.cache_bytes.add(added);
         postings
     }
@@ -487,28 +473,35 @@ impl<'a> ProbeCore<'a> {
         None
     }
 
-    /// Builds a cache-aware probe plan rooted (like the executor's reduction)
-    /// at vertex 0:
+    /// Builds a probe plan over the evaluation cache, rooted (like the
+    /// executor's reduction) at vertex 0. Every bound copy gets the shared
+    /// keyword selection and its per-join-column postings. With `prune`:
     ///
     /// * every branch whose cut-subtree value-set is already cached is
     ///   pruned from the plan, replaced by a sorted-membership constraint on
     ///   its ex-parent (`subtree_cache_hits`);
-    /// * every bound copy that stays gets the shared keyword selection;
     /// * every kept non-root vertex whose value-set is *not* cached is
     ///   scheduled for harvesting, so this probe's reduction populates it.
+    ///
+    /// Without it the plan is the full network — report samples enumerate
+    /// one row per copy — and nothing is harvested.
     fn build_plan_cached(
         &self,
         jnts: &Jnts,
         cache: &EvalCache,
+        prune: bool,
     ) -> Result<CachedPlan, EngineError> {
-        let labels = self.binding_labels(jnts, cache);
-        let vid = |i: usize| labels[i];
-        let refs = subtree_refs(jnts, self.db, &vid);
+        let refs = if prune {
+            let labels = self.binding_labels(jnts, cache);
+            subtree_refs(jnts, self.db, &|i: usize| labels[i])
+        } else {
+            Vec::new()
+        };
         let n = jnts.node_count();
         // Prune cached branches. `refs` is in DFS pre-order from vertex 0, so
         // a vertex's parent is always decided first; a branch inside an
         // already-pruned branch is skipped without counting a hit.
-        let mut keep = vec![false; n];
+        let mut keep = vec![!prune; n];
         keep[0] = true;
         let mut cons_by_vertex: Vec<Vec<(ColId, Arc<Vec<i64>>)>> = vec![Vec::new(); n];
         for r in &refs {
@@ -528,9 +521,7 @@ impl<'a> ProbeCore<'a> {
         // question the reduction might ask about them.
         let mut join_cols: Vec<Vec<ColId>> = vec![Vec::new(); n];
         for e in jnts.edges() {
-            let fk = self.db.foreign_key(e.fk);
-            let (a_col, b_col) =
-                if e.a_is_from { (fk.from_col, fk.to_col) } else { (fk.to_col, fk.from_col) };
+            let (a_col, b_col) = e.join_cols(self.db);
             for (v, col) in [(e.a as usize, a_col), (e.b as usize, b_col)] {
                 if !join_cols[v].contains(&col) {
                     join_cols[v].push(col);
@@ -574,9 +565,7 @@ impl<'a> ProbeCore<'a> {
             if a == usize::MAX || b == usize::MAX {
                 continue;
             }
-            let fk = self.db.foreign_key(e.fk);
-            let (a_col, b_col) =
-                if e.a_is_from { (fk.from_col, fk.to_col) } else { (fk.to_col, fk.from_col) };
+            let (a_col, b_col) = e.join_cols(self.db);
             edges.push(PlanEdge { a, a_col, b, b_col });
         }
         let harvest = refs
@@ -585,53 +574,6 @@ impl<'a> ProbeCore<'a> {
             .map(|r| (plan_idx[r.vertex], r.key, r.tables_mask))
             .collect();
         Ok(CachedPlan { plan: JoinTreePlan::new(nodes, edges)?, harvest })
-    }
-
-    /// The full (unpruned) plan used for report samples: identical to
-    /// [`build_plan`], except bound copies reuse the shared keyword
-    /// selections when the session has an [`EvalCache`]. Samples enumerate
-    /// one row per copy of the network, so subtree pruning never applies.
-    fn build_sample_plan(&self, jnts: &Jnts) -> Result<JoinTreePlan, EngineError> {
-        let Some(cache) = &self.cache else {
-            return build_plan(jnts, self.interp, self.db, self.index, self.keywords);
-        };
-        let mut edges = Vec::with_capacity(jnts.join_count());
-        let mut join_cols: Vec<Vec<ColId>> = vec![Vec::new(); jnts.node_count()];
-        for e in jnts.edges() {
-            let fk = self.db.foreign_key(e.fk);
-            let (a_col, b_col) =
-                if e.a_is_from { (fk.from_col, fk.to_col) } else { (fk.to_col, fk.from_col) };
-            edges.push(PlanEdge { a: e.a as usize, a_col, b: e.b as usize, b_col });
-            for (v, col) in [(e.a as usize, a_col), (e.b as usize, b_col)] {
-                if !join_cols[v].contains(&col) {
-                    join_cols[v].push(col);
-                }
-            }
-        }
-        let mut nodes = Vec::with_capacity(jnts.node_count());
-        for (i, &ts) in jnts.nodes().iter().enumerate() {
-            let table_name = &self.db.table(ts.table).schema().name;
-            let alias = format!("{}{}", table_name, ts.copy);
-            let node = match self.interp.keyword_for(ts) {
-                None => PlanNode::free(ts.table).with_alias(alias),
-                Some(kw_idx) => {
-                    let kw = &self.keywords[kw_idx];
-                    let sel = self.shared_selection(cache, ts.table, kw);
-                    let mut node = PlanNode::new(ts.table, Predicate::any_text_contains(kw.clone()))
-                        .with_alias(alias)
-                        .with_selection(Arc::clone(&sel));
-                    for &col in &join_cols[i] {
-                        node = node.with_col_postings(
-                            col,
-                            self.shared_selection_postings(cache, ts.table, kw, col, &sel),
-                        );
-                    }
-                    node
-                }
-            };
-            nodes.push(node);
-        }
-        JoinTreePlan::new(nodes, edges)
     }
 
     /// Reserves one budget slot, translating a refusal into the sticky
@@ -700,7 +642,7 @@ impl<'a> ProbeCore<'a> {
     ) -> Probe {
         let cached = match &self.cache {
             None => None,
-            Some(cache) => match self.build_plan_cached(jnts, cache) {
+            Some(cache) => match self.build_plan_cached(jnts, cache, true) {
                 Ok(c) => Some(c),
                 Err(e) => {
                     self.gate.release();
@@ -1044,7 +986,13 @@ impl<'a> AlivenessOracle<'a> {
             return Err(KwError::BudgetExhausted(why));
         }
         let core = &self.core;
-        let plan = match core.build_sample_plan(jnts) {
+        // Samples enumerate the full network: with a cache, over the shared
+        // selections but unpruned.
+        let plan = match &core.cache {
+            Some(cache) => core.build_plan_cached(jnts, cache, false).map(|c| c.plan),
+            None => build_plan(jnts, core.interp, core.db, core.index, core.keywords),
+        };
+        let plan = match plan {
             Ok(p) => p,
             Err(e) => {
                 core.gate.release();

@@ -139,7 +139,9 @@ pub struct ServeConfig {
     /// cache per session). When set, the server creates one
     /// [`SharedEvalCache`] stamped with the substrate's database identity
     /// `(db_id, epoch)`, forces
-    /// `debug.eval_cache` on, and hands the store to each admitted session —
+    /// `debug.eval_cache` and `debug.online_pa` on (executed verdicts from
+    /// all sessions drive SBH priors; reports never change, only probe
+    /// order), and hands the store to each admitted session —
     /// so a keyword one tenant warmed is free for the next. The byte-budget
     /// LRU bounds residency; tenants can opt out per policy
     /// (`TenantPolicy::private_cache`). See CACHING.md and SERVING.md §7.
@@ -166,16 +168,11 @@ pub struct SharedCacheConfig {
     /// working set of dozens of tenants resident on the paper's scales while
     /// bounding worst-case memory per process.
     pub budget_bytes: Option<u64>,
-    /// Also enable cross-session online `p_a` estimation
-    /// (`DebugConfig::online_pa`): executed verdicts from all sessions drive
-    /// SBH priors instead of the fixed 0.5. On by default — it never changes
-    /// reports, only probe order.
-    pub online_pa: bool,
 }
 
 impl Default for SharedCacheConfig {
     fn default() -> Self {
-        SharedCacheConfig { budget_bytes: Some(64 << 20), online_pa: true }
+        SharedCacheConfig { budget_bytes: Some(64 << 20) }
     }
 }
 
@@ -434,12 +431,10 @@ impl Server {
         // The shared-cache knob: build one process-wide store stamped with
         // this substrate's (db_id, epoch) identity and attach it to the parts
         // every session is spawned from. Sessions need the eval cache on to
-        // consult it.
+        // consult it; online p_a rides along.
         let shared_cache = config.shared_cache.map(|sc| {
             config.debug.eval_cache = true;
-            if sc.online_pa {
-                config.debug.online_pa = true;
-            }
+            config.debug.online_pa = true;
             parts.share_eval_cache(sc.budget_bytes)
         });
         // The batching knob: one process-wide exchange; handed to every
@@ -1188,7 +1183,16 @@ mod tests {
     fn shared_cache_config_defaults_are_bounded() {
         let sc = SharedCacheConfig::default();
         assert_eq!(sc.budget_bytes, Some(64 << 20), "bounded by default");
-        assert!(sc.online_pa, "online p_a rides along by default");
+        let debug = DebugConfig { max_joins: 2, ..DebugConfig::default() };
+        let system = NonAnswerDebugger::new(datagen::toydb::product_database(), debug)
+            .expect("toy substrate");
+        let config = ServeConfig { shared_cache: Some(sc), debug, ..ServeConfig::default() };
+        let registry = TenantRegistry::new(crate::tenant::TenantPolicy::default());
+        let server = Server::start(system.shared_parts(), registry, config).expect("start");
+        let Ok(session) = admit(&server.shared, "acme") else { panic!("admission refused") };
+        assert!(session.debugger.config().online_pa, "online p_a rides along with a shared cache");
+        drop(session);
+        server.shutdown();
         assert!(ServeConfig::default().shared_cache.is_none(), "knob is opt-in");
     }
 

@@ -37,8 +37,8 @@ cargo test --workspace --release -q --test probe_cache_equivalence
 echo "==> shared evaluation cache differential (cross-session, budgets, chaos pollution)"
 cargo test --workspace --release -q --test shared_cache_equivalence
 
-echo "==> cold-vs-warm probe cache benchmark (DBLife, results/BENCH_exp_probe_cache.json)"
-./target/release/exp_probe_cache --scale medium | grep -E "throughput|speedup|wrote"
+echo "==> cold-vs-warm probe cache benchmark (E15: warm >=3x cold, probe-free warm pass, cold scans <= off; results/BENCH_exp_probe_cache.json)"
+./target/release/exp_probe_cache --scale medium | grep -E "throughput|speedup|probes executed|tuples scanned|wrote"
 
 echo "==> mutable-database differential (incremental maintenance vs fresh rebuild)"
 cargo test --workspace --release -q --test mutation_equivalence
@@ -64,6 +64,9 @@ cargo test --workspace --release -q --test batch_equivalence
 echo "==> serving load generator (E16 smoke + E17 overload + E18 warm + E20 batch, results/BENCH_exp_serve.json)"
 ./target/release/exp_serve --scale tiny --sessions 2,8,64 --queries 4 --overload --warm --batch \
     | grep -E "BENCH_JSON|overload p99|fewer probes|fewer probe executions"
+
+echo "==> perfbench (builds against the library API; its own tests)"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "==> SERVING.md wire-spec drift check (tables must match protocol.rs codes)"
 drift=0
