@@ -6,7 +6,7 @@
 //! ground on three-keyword queries (exponentially many subset submissions).
 
 use bench::harness::{black_box, Bench};
-use bench::{build_system, run_query, run_re, run_rn, DataScale};
+use bench::{build_system, run_re, run_rn, DataScale};
 use kwdebug::traversal::StrategyKind;
 
 fn main() {
@@ -15,15 +15,17 @@ fn main() {
     for (qid, text) in [("Q4", "DeRose VLDB"), ("Q8", "Probabilistic Data Washington")] {
         b.run(&format!("fig14_alternatives_{qid}/ours_sbh"), 20, || {
             black_box(
-                run_query(&system, text, StrategyKind::ScoreBasedHeuristic).expect("query runs"),
+                system
+                    .debug_with_strategy(text, StrategyKind::ScoreBasedHeuristic)
+                    .expect("query runs"),
             )
-            .sql_queries
+            .sql_queries()
         });
         b.run(&format!("fig14_alternatives_{qid}/return_nothing"), 20, || {
             black_box(run_rn(&system, text).expect("RN runs")).sql_queries
         });
         b.run(&format!("fig14_alternatives_{qid}/return_everything"), 20, || {
-            black_box(run_re(&system, text).expect("RE runs")).sql_queries
+            black_box(run_re(&system, text).expect("RE runs")).0
         });
     }
 }

@@ -6,7 +6,7 @@
 //! SBH is never far from the best.
 
 use bench::harness::{black_box, Bench};
-use bench::{build_system, run_query, DataScale};
+use bench::{build_system, DataScale};
 use kwdebug::traversal::StrategyKind;
 
 fn main() {
@@ -15,7 +15,7 @@ fn main() {
     for (qid, text) in [("Q1", "Widom Trio"), ("Q3", "Agrawal Chaudhuri Das")] {
         for kind in StrategyKind::ALL {
             b.run(&format!("fig11_traversal_{qid}/{}", kind.name()), 20, || {
-                black_box(run_query(&system, text, kind).expect("query runs")).sql_queries
+                black_box(system.debug_with_strategy(text, kind).expect("query runs")).sql_queries()
             });
         }
     }

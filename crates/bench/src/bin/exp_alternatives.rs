@@ -15,7 +15,7 @@
 //! Usage: `exp_alternatives [--scale S] [--max-level N]` (default N=5,
 //! matching Figure 14).
 
-use bench::{build_system, print_table, run_query, run_re, run_rn, ExpArgs};
+use bench::{build_system, print_table, run_re, run_rn, ExpArgs};
 use datagen::paper_queries;
 use kwdebug::traversal::StrategyKind;
 
@@ -31,18 +31,19 @@ fn main() {
 
     let mut rows = Vec::new();
     for q in paper_queries() {
-        let ours = run_query(&system, q.text, StrategyKind::ScoreBasedHeuristic)
+        let ours = system
+            .debug_with_strategy(q.text, StrategyKind::ScoreBasedHeuristic)
             .expect("workload query runs");
         let rn = run_rn(&system, q.text).expect("RN baseline runs");
-        let re = run_re(&system, q.text).expect("RE baseline runs");
+        let (re_queries, re_time) = run_re(&system, q.text).expect("RE baseline runs");
         rows.push(vec![
             q.id.to_string(),
-            bench::ms(ours.sql_time),
+            bench::ms(ours.sql_time()),
             bench::ms(rn.sql_time),
-            bench::ms(re.sql_time),
-            ours.sql_queries.to_string(),
+            bench::ms(re_time),
+            ours.sql_queries().to_string(),
             rn.sql_queries.to_string(),
-            re.sql_queries.to_string(),
+            re_queries.to_string(),
         ]);
     }
     print_table(

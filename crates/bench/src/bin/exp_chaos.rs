@@ -13,11 +13,9 @@
 //! Usage: `exp_chaos [--scale S] [--max-level N] [--seed N]` (default N=5).
 //! The injection seed is derived from `--seed` so runs are reproducible.
 
-use bench::{build_system, emit_metrics, print_table, run_query_with, ExpArgs, RunKnobs};
+use bench::{build_system, chaos, emit_metrics, print_table, snapshot, ExpArgs};
 use datagen::paper_queries;
 use kwdebug::traversal::StrategyKind;
-use relengine::FaultConfig;
-use std::time::Duration;
 
 /// Transient-fault rates swept, in probes-per-mille.
 const RATES: [u32; 4] = [0, 10, 50, 100];
@@ -29,7 +27,7 @@ fn main() {
         "== E12: degraded-mode traversal under injected probe faults (scale {:?}, level {max_level}) ==\n",
         args.scale
     );
-    let system = build_system(args.scale, args.seed, max_level);
+    let mut system = build_system(args.scale, args.seed, max_level);
 
     let mut rows = Vec::new();
     let mut records = Vec::new();
@@ -37,29 +35,24 @@ fn main() {
         for kind in StrategyKind::ALL {
             let mut row = vec![q.id.to_string(), kind.to_string()];
             for rate in RATES {
-                let knobs = RunKnobs {
-                    chaos: (rate > 0).then(|| FaultConfig {
-                        seed: args.seed ^ u64::from(rate),
-                        transient_per_mille: rate,
-                        permanent_per_mille: rate / 10,
-                        latency_per_mille: 0,
-                        latency: Duration::ZERO,
-                        fail_first_transient: 0,
-                    }),
-                    ..RunKnobs::default()
-                };
-                let agg = run_query_with(&system, q.text, kind, knobs)
+                system.set_chaos(chaos(args.seed, rate));
+                let report = system
+                    .debug_with_strategy(q.text, kind)
                     .expect("chaos run degrades instead of failing");
+                let probes = report.probes();
                 assert_eq!(
-                    agg.probes.probes_executed, agg.sql_queries,
+                    probes.probes_executed,
+                    report.sql_queries(),
                     "probe accounting must hold under faults"
                 );
                 row.push(format!(
                     "{}/{}/{}",
-                    agg.probes.retries, agg.probes.probes_abandoned, agg.unknowns
+                    probes.retries,
+                    probes.probes_abandoned,
+                    report.unknown_count()
                 ));
                 let mut snap =
-                    agg.snapshot("exp_chaos", q.id, &kind.to_string(), args.scale, max_level);
+                    snapshot(&report, "exp_chaos", q.id, &kind.to_string(), args.scale, max_level);
                 snap.variant = format!("fault_pm={rate}");
                 records.push(snap);
             }

@@ -9,7 +9,7 @@
 //! Usage: `exp_distribution [--scale S] [--max-level N]` — levels 3 and 5
 //! always run; 7 runs when `--max-level 7`.
 
-use bench::{build_system, print_table, run_query, ExpArgs};
+use bench::{build_system, print_table, ExpArgs};
 use datagen::paper_queries;
 use kwdebug::traversal::StrategyKind;
 
@@ -24,9 +24,11 @@ fn main() {
     for (li, &level) in levels.iter().enumerate() {
         let system = build_system(args.scale, args.seed, level);
         for (qi, q) in paper_queries().iter().enumerate() {
-            let agg = run_query(&system, q.text, StrategyKind::TopDownWithReuse)
+            let report = system
+                .debug_with_strategy(q.text, StrategyKind::TopDownWithReuse)
                 .expect("workload query runs");
-            cells[qi][li] = (agg.mtns(), agg.mpans);
+            let mtns = report.answer_count() + report.non_answer_count();
+            cells[qi][li] = (mtns, report.mpan_count());
         }
     }
 

@@ -10,7 +10,7 @@
 //! Usage: `exp_levels [--scale S] [--max-level N]` — levels 3 and 5 always
 //! run; 7 runs when `--max-level 7`.
 
-use bench::{build_system, print_table, run_query, ExpArgs};
+use bench::{build_system, print_table, ExpArgs};
 use kwdebug::traversal::StrategyKind;
 
 const QUERY: &str = "Agrawal Chaudhuri Das";
@@ -29,8 +29,8 @@ fn main() {
         let system = build_system(args.scale, args.seed, level);
         let mut row = vec![level.to_string()];
         for kind in StrategyKind::ALL {
-            let agg = run_query(&system, QUERY, kind).expect("Q3 runs");
-            row.push(agg.sql_queries.to_string());
+            let report = system.debug_with_strategy(QUERY, kind).expect("Q3 runs");
+            row.push(report.sql_queries().to_string());
         }
         rows.push(row);
     }

@@ -12,10 +12,8 @@
 
 use bench::{build_system, print_table, ExpArgs};
 use datagen::paper_queries;
-use kwdebug::binding::{map_keywords, KeywordQuery};
-use kwdebug::oracle::AlivenessOracle;
-use kwdebug::prune::PrunedLattice;
-use kwdebug::traversal::{self, StrategyKind};
+use kwdebug::debugger::{DebugConfig, NonAnswerDebugger};
+use kwdebug::traversal::StrategyKind;
 
 fn main() {
     let args = ExpArgs::parse();
@@ -26,47 +24,25 @@ fn main() {
         args.scale
     );
     let system = build_system(args.scale, args.seed, max_level);
+    let memo = NonAnswerDebugger::from_shared(
+        system.shared_parts(),
+        DebugConfig { memoize: true, ..*system.config() },
+    )
+    .expect("valid session configuration");
 
     let mut rows = Vec::new();
     for q in paper_queries() {
-        let query = KeywordQuery::parse(q.text).expect("workload query parses");
-        let mapping = map_keywords(&query, system.index());
-
-        let mut plain = 0u64;
-        let mut memoized = 0u64;
-        let mut memo_hits = 0u64;
-        for (memoize, counter) in [(false, &mut plain), (true, &mut memoized)] {
-            for interp in &mapping.interpretations {
-                let pruned = PrunedLattice::build(system.lattice(), interp);
-                let mut oracle = AlivenessOracle::new(
-                    system.database(),
-                    Some(system.index()),
-                    interp,
-                    &mapping.keywords,
-                    memoize,
-                );
-                let out = traversal::run(
-                    StrategyKind::BottomUp, // no-reuse order benefits most
-                    system.lattice(),
-                    &pruned,
-                    &mut oracle,
-                    0.5,
-                )
-                .expect("traversal runs");
-                *counter += out.sql_queries;
-                if memoize {
-                    memo_hits += oracle.memo_hits();
-                }
-            }
-        }
-        let saved = plain.saturating_sub(memoized);
+        // BU: the no-reuse order benefits most.
+        let plain = system.debug_with_strategy(q.text, StrategyKind::BottomUp).expect("BU runs");
+        let memoized = memo.debug_with_strategy(q.text, StrategyKind::BottomUp).expect("BU runs");
+        let (plain_q, memo_q) = (plain.sql_queries(), memoized.sql_queries());
         rows.push(vec![
             q.id.to_string(),
-            mapping.interpretations.len().to_string(),
-            plain.to_string(),
-            memoized.to_string(),
-            saved.to_string(),
-            memo_hits.to_string(),
+            plain.interpretations.len().to_string(),
+            plain_q.to_string(),
+            memo_q.to_string(),
+            plain_q.saturating_sub(memo_q).to_string(),
+            memoized.probes().memo_hits.to_string(),
         ]);
     }
     print_table(

@@ -28,7 +28,7 @@
 
 use std::time::Instant;
 
-use bench::{build_mutable_system, emit_metrics, mutable_session_config, print_table, ExpArgs};
+use bench::{build_mutable_system, emit_metrics, print_table, session_config, ExpArgs};
 use datagen::paper_queries;
 use kwdebug::debugger::NonAnswerDebugger;
 use kwdebug::metrics::MetricsSnapshot;
@@ -131,7 +131,7 @@ fn main() {
     let config = kwdebug::debugger::DebugConfig {
         strategy: STRATEGY,
         eval_cache: true,
-        ..mutable_session_config(max_level)
+        ..session_config(max_level)
     };
 
     // Warm start: one full pass before any write, as a long-lived service

@@ -14,15 +14,16 @@
 //!
 //! Usage: `exp_pa_estimate [--scale S] [--max-level N]` (default N=5).
 
-use std::sync::Arc;
-
 use bench::{build_system, print_table, ExpArgs};
 use datagen::paper_queries;
 use kwdebug::binding::{map_keywords, KeywordQuery};
-use kwdebug::estimate::{OnlinePa, PaEstimator};
+use kwdebug::debugger::{DebugConfig, NonAnswerDebugger};
+use kwdebug::estimate::PaEstimator;
 use kwdebug::oracle::AlivenessOracle;
 use kwdebug::prune::PrunedLattice;
 use kwdebug::traversal::{self, StrategyKind};
+
+const SBH: StrategyKind = StrategyKind::ScoreBasedHeuristic;
 
 fn main() {
     let args = ExpArgs::parse();
@@ -32,78 +33,53 @@ fn main() {
         args.scale
     );
     let system = build_system(args.scale, args.seed, max_level);
+    // The online session reads and feeds the substrate's estimator, exactly
+    // as `SharedParts` shares it across a server's sessions: pass 1 warms
+    // it, pass 2 reads the accumulated evidence. The fixed-prior runs never
+    // record into it.
+    let online = NonAnswerDebugger::from_shared(
+        system.shared_parts(),
+        DebugConfig { online_pa: true, ..*system.config() },
+    )
+    .expect("valid session configuration");
+    let sql = |s: &NonAnswerDebugger, text: &str| -> u64 {
+        s.debug_with_strategy(text, SBH).expect("SBH runs").sql_queries()
+    };
 
-    // One estimator across the whole workload, exactly as `SharedParts`
-    // shares it across a server's sessions: pass 1 warms it, pass 2 reads
-    // the accumulated evidence.
-    let online = Arc::new(OnlinePa::new());
-    let run_online = |q: &datagen::WorkloadQuery, stats: &Arc<OnlinePa>| -> u64 {
+    let mut rows = Vec::new();
+    for q in paper_queries() {
+        let fixed = sql(&system, q.text);
+        // The static estimate is a prior per interpretation, which no
+        // session configuration expresses, so this column drives Phases 1–3
+        // itself.
         let query = KeywordQuery::parse(q.text).expect("workload query parses");
         let mapping = map_keywords(&query, system.index());
-        let mut total = 0u64;
+        let mut estimated = 0u64;
+        let mut pa_shown = String::from("-");
         for interp in &mapping.interpretations {
             let pruned = PrunedLattice::build(system.lattice(), interp);
-            let prior = stats.estimate_pa(&pruned);
+            let pa = PaEstimator::new(system.database(), system.index(), interp, &mapping.keywords)
+                .estimate_pa(system.lattice(), &pruned);
+            pa_shown = format!("{pa:.2}");
             let mut oracle = AlivenessOracle::new(
                 system.database(),
                 Some(system.index()),
                 interp,
                 &mapping.keywords,
                 false,
-            )
-            .with_pa_stats(Arc::clone(stats));
-            let out = traversal::run(
-                StrategyKind::ScoreBasedHeuristic,
-                system.lattice(),
-                &pruned,
-                &mut oracle,
-                prior,
-            )
-            .expect("SBH runs");
-            total += out.sql_queries;
-        }
-        total
-    };
-
-    let mut rows = Vec::new();
-    for q in paper_queries() {
-        let query = KeywordQuery::parse(q.text).expect("workload query parses");
-        let mapping = map_keywords(&query, system.index());
-        let mut fixed = 0u64;
-        let mut estimated = 0u64;
-        let mut pa_shown = String::from("-");
-        for interp in &mapping.interpretations {
-            let pruned = PrunedLattice::build(system.lattice(), interp);
-            let est = PaEstimator::new(system.database(), system.index(), interp, &mapping.keywords);
-            let pa = est.estimate_pa(system.lattice(), &pruned);
-            pa_shown = format!("{pa:.2}");
-            for (prior, counter) in [(0.5, &mut fixed), (pa, &mut estimated)] {
-                let mut oracle = AlivenessOracle::new(
-                    system.database(),
-                    Some(system.index()),
-                    interp,
-                    &mapping.keywords,
-                    false,
-                );
-                let out = traversal::run(
-                    StrategyKind::ScoreBasedHeuristic,
-                    system.lattice(),
-                    &pruned,
-                    &mut oracle,
-                    prior,
-                )
+            );
+            let out = traversal::run(SBH, system.lattice(), &pruned, &mut oracle, pa)
                 .expect("SBH runs");
-                *counter += out.sql_queries;
-            }
+            estimated += out.sql_queries;
         }
-        let cold = run_online(&q, &online);
+        let cold = sql(&online, q.text);
         rows.push((q, pa_shown, fixed, estimated, cold));
     }
     // Second pass: the estimator now carries every verdict of pass 1.
-    let observations = online.observations();
+    let observations = online.pa_stats().observations();
     let mut table = Vec::new();
     for (q, pa_shown, fixed, estimated, cold) in rows {
-        let warm = run_online(&q, &online);
+        let warm = sql(&online, q.text);
         table.push(vec![
             q.id.to_string(),
             pa_shown,

@@ -12,90 +12,50 @@
 //!
 //! Usage: `exp_pa_sweep [--scale S] [--max-level N]` (default N=5).
 
-use std::sync::Arc;
-
-use bench::{build_system, print_table, run_query, ExpArgs};
+use bench::{build_system, print_table, ExpArgs};
 use datagen::paper_queries;
-use kwdebug::binding::{map_keywords, KeywordQuery};
-use kwdebug::estimate::OnlinePa;
-use kwdebug::oracle::AlivenessOracle;
-use kwdebug::prune::PrunedLattice;
-use kwdebug::traversal::{self, StrategyKind};
+use kwdebug::debugger::{DebugConfig, NonAnswerDebugger};
+use kwdebug::traversal::StrategyKind;
+
+const SBH: StrategyKind = StrategyKind::ScoreBasedHeuristic;
+
+/// Total SQL queries of SBH over the whole workload, run by a session over
+/// `system`'s substrate under `config`.
+fn workload_queries(system: &NonAnswerDebugger, config: DebugConfig) -> u64 {
+    let session = NonAnswerDebugger::from_shared(system.shared_parts(), config)
+        .expect("valid session configuration");
+    paper_queries()
+        .iter()
+        .map(|q| session.debug_with_strategy(q.text, SBH).expect("SBH runs").sql_queries())
+        .sum()
+}
 
 fn main() {
     let args = ExpArgs::parse();
     let max_level = args.max_level.unwrap_or(5);
     println!("== Ablation: SBH p_a sweep (scale {:?}, level {max_level}) ==\n", args.scale);
     let system = build_system(args.scale, args.seed, max_level);
+    let base = *system.config();
 
     let mut rows = Vec::new();
     for pa10 in 0..=10u32 {
         let pa = f64::from(pa10) / 10.0;
-        let mut total_queries = 0u64;
-        for q in paper_queries() {
-            let query = KeywordQuery::parse(q.text).expect("workload query parses");
-            let mapping = map_keywords(&query, system.index());
-            for interp in &mapping.interpretations {
-                let pruned = PrunedLattice::build(system.lattice(), interp);
-                let mut oracle = AlivenessOracle::new(
-                    system.database(),
-                    Some(system.index()),
-                    interp,
-                    &mapping.keywords,
-                    false,
-                );
-                let out = traversal::run(
-                    StrategyKind::ScoreBasedHeuristic,
-                    system.lattice(),
-                    &pruned,
-                    &mut oracle,
-                    pa,
-                )
-                .expect("SBH runs");
-                total_queries += out.sql_queries;
-            }
-        }
+        let total_queries = workload_queries(&system, DebugConfig { pa, ..base });
         rows.push(vec![format!("{pa:.1}"), total_queries.to_string()]);
     }
 
     // The online estimator, warming across the same workload: each
     // interpretation's prior is the current per-level observed alive rate,
-    // and every executed verdict feeds the next.
-    let online = Arc::new(OnlinePa::new());
-    let mut online_queries = 0u64;
-    for q in paper_queries() {
-        let query = KeywordQuery::parse(q.text).expect("workload query parses");
-        let mapping = map_keywords(&query, system.index());
-        for interp in &mapping.interpretations {
-            let pruned = PrunedLattice::build(system.lattice(), interp);
-            let prior = online.estimate_pa(&pruned);
-            let mut oracle = AlivenessOracle::new(
-                system.database(),
-                Some(system.index()),
-                interp,
-                &mapping.keywords,
-                false,
-            )
-            .with_pa_stats(Arc::clone(&online));
-            let out = traversal::run(
-                StrategyKind::ScoreBasedHeuristic,
-                system.lattice(),
-                &pruned,
-                &mut oracle,
-                prior,
-            )
-            .expect("SBH runs");
-            online_queries += out.sql_queries;
-        }
-    }
-    rows.push(vec!["online".to_string(), online_queries.to_string()]);
+    // and every executed verdict feeds the next. The fixed-prior sessions
+    // above never record, so the substrate's estimator starts cold here.
+    let online = workload_queries(&system, DebugConfig { online_pa: true, ..base });
+    rows.push(vec!["online".to_string(), online.to_string()]);
     print_table(&["p_a", "total SQL queries (Q1-Q10)"], &rows);
 
     // Sanity: p_a does not change outputs, only costs.
-    let a = run_query(&system, "DeRose VLDB", StrategyKind::ScoreBasedHeuristic)
-        .expect("runs");
-    let b = run_query(&system, "DeRose VLDB", StrategyKind::BruteForce).expect("runs");
-    assert_eq!(a.answers, b.answers);
-    assert_eq!(a.non_answers, b.non_answers);
+    let a = system.debug_with_strategy("DeRose VLDB", SBH).expect("runs");
+    let b = system.debug_with_strategy("DeRose VLDB", StrategyKind::BruteForce).expect("runs");
+    assert_eq!(a.answer_count(), b.answer_count());
+    assert_eq!(a.non_answer_count(), b.non_answer_count());
     println!("\n(outputs identical across the sweep; only query counts vary)");
 }

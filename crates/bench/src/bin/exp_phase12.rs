@@ -20,7 +20,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bench::{build_system, emit_metrics, print_table, run_query, ExpArgs};
+use bench::{build_system, emit_metrics, print_table, prune_totals, snapshot, ExpArgs};
 use datagen::paper_queries;
 use kwdebug::metrics::{MetricsSnapshot, PhaseTiming};
 use kwdebug::traversal::StrategyKind;
@@ -65,24 +65,26 @@ fn main() {
     let mut records = Vec::new();
     let mut prune_pct_sum = 0.0;
     for q in paper_queries() {
-        let agg = run_query(&system, q.text, StrategyKind::BottomUpWithReuse)
+        let report = system
+            .debug_with_strategy(q.text, StrategyKind::BottomUpWithReuse)
             .expect("workload query runs");
-        let mut rec = agg.snapshot("exp_phase12", q.id, "BUWR", args.scale, max_level);
+        let mut rec = snapshot(&report, "exp_phase12", q.id, "BUWR", args.scale, max_level);
         rec.levels = system.lattice().stats().to_vec();
         rec.lattice_bytes = system.lattice().memory_footprint().total_bytes() as u64;
         records.push(rec);
+        let (interps, prune) = (report.interpretations.len(), prune_totals(&report));
         let prune_pct = 100.0
-            * (1.0 - agg.prune.retained_phase1 as f64 / (lattice_nodes * agg.interpretations.max(1)) as f64);
+            * (1.0 - prune.retained_phase1 as f64 / (lattice_nodes * interps.max(1)) as f64);
         prune_pct_sum += prune_pct;
         rows.push(vec![
             q.id.to_string(),
-            agg.interpretations.to_string(),
-            bench::ms(agg.mapping_time),
-            agg.prune.retained_phase1.to_string(),
+            interps.to_string(),
+            bench::ms(report.mapping_time),
+            prune.retained_phase1.to_string(),
             format!("{prune_pct:.1}"),
-            agg.prune.mtn_count.to_string(),
-            agg.prune.mtn_descendants_total.to_string(),
-            agg.prune.mtn_descendants_unique.to_string(),
+            prune.mtn_count.to_string(),
+            prune.mtn_descendants_total.to_string(),
+            prune.mtn_descendants_unique.to_string(),
         ]);
     }
     print_table(

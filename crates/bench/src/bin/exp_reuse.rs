@@ -9,7 +9,7 @@
 //! Usage: `exp_reuse [--scale S] [--max-level N]` — levels 3 and 5 always
 //! run; 7 runs when `--max-level 7`.
 
-use bench::{build_system, emit_metrics, print_table, run_query, ExpArgs};
+use bench::{build_system, emit_metrics, print_table, prune_totals, snapshot, ExpArgs};
 use datagen::paper_queries;
 use kwdebug::traversal::StrategyKind;
 
@@ -24,10 +24,11 @@ fn main() {
     for (li, &level) in levels.iter().enumerate() {
         let system = build_system(args.scale, args.seed, level);
         for (qi, q) in paper_queries().iter().enumerate() {
-            let agg = run_query(&system, q.text, StrategyKind::BottomUpWithReuse)
+            let report = system
+                .debug_with_strategy(q.text, StrategyKind::BottomUpWithReuse)
                 .expect("workload query runs");
-            cells[qi][li] = format!("{:.1}", agg.prune.reuse_percentage());
-            records.push(agg.snapshot("exp_reuse", q.id, "BUWR", args.scale, level));
+            cells[qi][li] = format!("{:.1}", prune_totals(&report).reuse_percentage());
+            records.push(snapshot(&report, "exp_reuse", q.id, "BUWR", args.scale, level));
         }
     }
 

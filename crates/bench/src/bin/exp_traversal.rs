@@ -7,7 +7,7 @@
 //!
 //! Usage: `exp_traversal [--scale S] [--max-level N]` (default N=5).
 
-use bench::{build_system, emit_metrics, print_table, run_query, ExpArgs};
+use bench::{build_system, emit_metrics, print_table, snapshot, ExpArgs};
 use datagen::paper_queries;
 use kwdebug::traversal::StrategyKind;
 
@@ -27,10 +27,11 @@ fn main() {
         let mut counts = vec![q.id.to_string()];
         let mut times = vec![q.id.to_string()];
         for kind in StrategyKind::ALL {
-            let agg = run_query(&system, q.text, kind).expect("workload query runs");
-            counts.push(agg.sql_queries.to_string());
-            times.push(bench::ms(agg.sql_time));
-            records.push(agg.snapshot(
+            let report = system.debug_with_strategy(q.text, kind).expect("workload query runs");
+            counts.push(report.sql_queries().to_string());
+            times.push(bench::ms(report.sql_time()));
+            records.push(snapshot(
+                &report,
                 "exp_traversal",
                 q.id,
                 &kind.to_string(),

@@ -57,7 +57,7 @@ use std::io::{BufRead, Write};
 use std::net::SocketAddr;
 use std::time::Duration;
 
-use bench::{build_mutable_system, build_system, mutable_session_config, DataScale};
+use bench::{build_mutable_system, build_system, session_config, DataScale};
 use kwdebug::budget::ProbeBudget;
 use kwdebug::debugger::NonAnswerDebugger;
 use kwdebug::metrics::MetricsSnapshot;
@@ -266,18 +266,8 @@ fn show_metrics(system: &NonAnswerDebugger, last: &LastRun, args: &ReplArgs, max
         prune: None,
         levels: Vec::new(),
     };
-    if let Some(first) = last.report.interpretations.first() {
-        let mut prune = first.prune_stats.clone();
-        for i in &last.report.interpretations[1..] {
-            let s = &i.prune_stats;
-            prune.retained_phase1 += s.retained_phase1;
-            prune.total_nodes += s.total_nodes;
-            prune.mtn_count += s.mtn_count;
-            prune.pruned_nodes += s.pruned_nodes;
-            prune.mtn_descendants_total += s.mtn_descendants_total;
-            prune.mtn_descendants_unique += s.mtn_descendants_unique;
-        }
-        snap.prune = Some(prune);
+    if !last.report.interpretations.is_empty() {
+        snap.prune = Some(bench::prune_totals(&last.report));
     }
     println!("{}", snap.to_json());
 }
@@ -667,7 +657,7 @@ fn main() {
     eprintln!("building system (scale {:?}, level {max_level})...", args.scale);
     let mut mdb = build_mutable_system(args.scale, args.seed, max_level);
     mdb.share_eval_cache(None);
-    let base_config = mutable_session_config(max_level);
+    let base_config = session_config(max_level);
     let mut session = Some(mdb.session(base_config).expect("valid experiment configuration"));
     eprintln!(
         "ready: {} tuples, lattice {} nodes. Try `DeRose VLDB` or `Widom Trio`; :quit to exit.",

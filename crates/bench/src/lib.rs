@@ -19,15 +19,13 @@ pub mod harness;
 use std::time::Duration;
 
 use datagen::{generate_dblife, DblifeConfig};
-use kwdebug::baseline::{run_return_everything, run_return_nothing, ReOutcome, RnOutcome};
+use kwdebug::baseline::{run_return_everything, run_return_nothing, RnOutcome};
 use kwdebug::binding::{map_keywords, KeywordQuery};
-use kwdebug::budget::{ProbeBudget, RetryPolicy};
 use kwdebug::debugger::{DebugConfig, NonAnswerDebugger};
-use kwdebug::metrics::{MetricsSnapshot, PhaseTiming, ProbeCounters};
+use kwdebug::metrics::MetricsSnapshot;
 use kwdebug::oracle::AlivenessOracle;
 use kwdebug::prune::{PruneStats, PrunedLattice};
-use kwdebug::traversal::{self, StrategyKind, TraversalOutcome};
-use kwdebug::KwError;
+use kwdebug::{DebugReport, KwError};
 use relengine::FaultConfig;
 
 /// Dataset scale presets.
@@ -152,28 +150,21 @@ impl ExpArgs {
     }
 }
 
-/// Builds the full system (data + index + lattice) for an experiment.
-pub fn build_system(scale: DataScale, seed: u64, max_level: usize) -> NonAnswerDebugger {
-    let db = generate_dblife(&scale.config(seed));
-    NonAnswerDebugger::new(
-        db,
-        DebugConfig {
-            max_joins: max_level.saturating_sub(1),
-            sample_limit: 0,
-            ..DebugConfig::default()
-        },
-    )
-    .expect("valid experiment configuration")
-}
-
-/// The session configuration matching [`build_system`], for sessions built
-/// over a [`build_mutable_system`] coordinator.
-pub fn mutable_session_config(max_level: usize) -> DebugConfig {
+/// The session configuration every experiment runs under: a lattice of
+/// `max_level` levels (`maxJoins = max_level - 1`) and no report sampling,
+/// so each report's SQL count is the traversal's alone.
+pub fn session_config(max_level: usize) -> DebugConfig {
     DebugConfig {
         max_joins: max_level.saturating_sub(1),
         sample_limit: 0,
         ..DebugConfig::default()
     }
+}
+
+/// Builds the full system (data + index + lattice) for an experiment.
+pub fn build_system(scale: DataScale, seed: u64, max_level: usize) -> NonAnswerDebugger {
+    let db = generate_dblife(&scale.config(seed));
+    NonAnswerDebugger::new(db, session_config(max_level)).expect("valid experiment configuration")
 }
 
 /// Builds the full system under the single-writer mutable coordinator
@@ -186,72 +177,57 @@ pub fn build_mutable_system(
     max_level: usize,
 ) -> kwdebug::MutableDatabase {
     let db = generate_dblife(&scale.config(seed));
-    kwdebug::MutableDatabase::new(db, max_level.saturating_sub(1))
+    kwdebug::MutableDatabase::new(db, session_config(max_level).max_joins)
         .expect("valid experiment configuration")
 }
 
-/// Aggregate of one query's Phase 1-3 run under one strategy, summed over
-/// interpretations.
-#[derive(Debug, Clone, Default)]
-pub struct QueryAggregate {
-    /// Interpretations explored.
-    pub interpretations: usize,
-    /// Answer queries (alive MTNs).
-    pub answers: usize,
-    /// Non-answer queries (dead MTNs).
-    pub non_answers: usize,
-    /// MPANs reported (per dead MTN, with cross-MTN duplicates).
-    pub mpans: usize,
-    /// Distinct MPAN nodes (per interpretation, summed).
-    pub mpans_unique: usize,
-    /// SQL queries executed by the traversal.
-    pub sql_queries: u64,
-    /// Wall time spent executing SQL.
-    pub sql_time: Duration,
-    /// Phase 1/2 statistics summed over interpretations.
-    pub prune: PruneStats,
-    /// Keyword-to-schema mapping time.
-    pub mapping_time: Duration,
-    /// Probe/inference counters summed over interpretations
-    /// (`probes.probes_executed` always equals `sql_queries`).
-    pub probes: ProbeCounters,
-    /// Per-phase wall-clock breakdown summed over interpretations.
-    pub phases: PhaseTiming,
-    /// MTNs left `Unknown` by degraded (chaos/budget) runs; 0 on clean runs.
-    pub unknowns: usize,
+/// Phase 1/2 statistics of a report, summed over its interpretations.
+pub fn prune_totals(report: &DebugReport) -> PruneStats {
+    let mut prune = PruneStats::default();
+    for interp in &report.interpretations {
+        prune.accumulate(&interp.prune_stats);
+    }
+    prune
 }
 
-impl QueryAggregate {
-    /// Total MTNs.
-    pub fn mtns(&self) -> usize {
-        self.answers + self.non_answers
+/// Converts one query's report into a machine-readable metrics record (see
+/// [`kwdebug::metrics::MetricsSnapshot`]).
+pub fn snapshot(
+    report: &DebugReport,
+    experiment: &str,
+    query: &str,
+    strategy: &str,
+    scale: DataScale,
+    max_level: usize,
+) -> MetricsSnapshot {
+    MetricsSnapshot {
+        experiment: experiment.to_owned(),
+        query: query.to_owned(),
+        strategy: strategy.to_owned(),
+        variant: String::new(),
+        scale: scale.name().to_owned(),
+        max_level: max_level as u64,
+        interpretations: report.interpretations.len() as u64,
+        lattice_bytes: 0,
+        probes: report.probes(),
+        phases: report.timing,
+        prune: Some(prune_totals(report)),
+        levels: Vec::new(),
     }
+}
 
-    /// Converts this aggregate into a machine-readable metrics record (see
-    /// [`kwdebug::metrics::MetricsSnapshot`]).
-    pub fn snapshot(
-        &self,
-        experiment: &str,
-        query: &str,
-        strategy: &str,
-        scale: DataScale,
-        max_level: usize,
-    ) -> MetricsSnapshot {
-        MetricsSnapshot {
-            experiment: experiment.to_owned(),
-            query: query.to_owned(),
-            strategy: strategy.to_owned(),
-            variant: String::new(),
-            scale: scale.name().to_owned(),
-            max_level: max_level as u64,
-            interpretations: self.interpretations as u64,
-            lattice_bytes: 0,
-            probes: self.probes,
-            phases: self.phases,
-            prune: Some(self.prune.clone()),
-            levels: Vec::new(),
-        }
-    }
+/// The fault schedule of the chaos experiment (E12) at `per_mille`
+/// transient faults per probe (and a tenth as many permanent ones), seeded
+/// from `seed`; `None` at rate 0, the clean run.
+pub fn chaos(seed: u64, per_mille: u32) -> Option<FaultConfig> {
+    (per_mille > 0).then(|| FaultConfig {
+        seed: seed ^ u64::from(per_mille),
+        transient_per_mille: per_mille,
+        permanent_per_mille: per_mille / 10,
+        latency_per_mille: 0,
+        latency: Duration::ZERO,
+        fail_first_transient: 0,
+    })
 }
 
 /// Writes newline-delimited metrics records to `results/BENCH_<experiment>.json`
@@ -260,74 +236,6 @@ impl QueryAggregate {
 pub fn emit_metrics(experiment: &str, records: &[MetricsSnapshot]) {
     let lines: Vec<String> = records.iter().map(MetricsSnapshot::to_json).collect();
     harness::write_records(experiment, &lines);
-}
-
-/// Robustness knobs for [`run_query_with`]: deterministic fault injection,
-/// a per-interpretation probe budget, and the transient-retry policy.
-/// `Default` reproduces [`run_query`] exactly (no chaos, unlimited budget).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunKnobs {
-    /// Deterministic fault injection, when `Some`.
-    pub chaos: Option<FaultConfig>,
-    /// Per-interpretation probe budget.
-    pub budget: Option<ProbeBudget>,
-    /// Transient-failure retry policy (`None` = oracle default).
-    pub retry: Option<RetryPolicy>,
-}
-
-/// Runs one workload query under one strategy against a prepared system,
-/// without report sampling, and aggregates over interpretations.
-pub fn run_query(
-    system: &NonAnswerDebugger,
-    text: &str,
-    strategy: StrategyKind,
-) -> Result<QueryAggregate, KwError> {
-    run_query_with(system, text, strategy, RunKnobs::default())
-}
-
-/// [`run_query`] with robustness knobs ([`RunKnobs`]): the chaos-sweep
-/// experiment uses this to measure degraded-mode behavior per strategy.
-pub fn run_query_with(
-    system: &NonAnswerDebugger,
-    text: &str,
-    strategy: StrategyKind,
-    knobs: RunKnobs,
-) -> Result<QueryAggregate, KwError> {
-    let mut agg = QueryAggregate::default();
-    let query = KeywordQuery::parse(text)?;
-    let t0 = std::time::Instant::now();
-    let mapping = map_keywords(&query, system.index());
-    agg.mapping_time = t0.elapsed();
-    agg.phases.mapping = agg.mapping_time;
-    for interp in &mapping.interpretations {
-        agg.interpretations += 1;
-        let prune_start = std::time::Instant::now();
-        let pruned = PrunedLattice::build(system.lattice(), interp);
-        agg.phases.pruning += prune_start.elapsed();
-        let mut oracle = AlivenessOracle::new(
-            system.database(),
-            Some(system.index()),
-            interp,
-            &mapping.keywords,
-            false,
-        );
-        if let Some(budget) = knobs.budget {
-            oracle = oracle.with_budget(budget);
-        }
-        if let Some(retry) = knobs.retry {
-            oracle = oracle.with_retry(retry);
-        }
-        if let Some(chaos) = knobs.chaos {
-            oracle = oracle.with_chaos(chaos);
-        }
-        let trav_start = std::time::Instant::now();
-        let outcome = traversal::run(strategy, system.lattice(), &pruned, &mut oracle, 0.5)?;
-        agg.phases.traversal += trav_start.elapsed();
-        accumulate(&mut agg, &pruned, &outcome);
-    }
-    agg.phases.sql = agg.sql_time;
-    agg.phases.total = t0.elapsed();
-    Ok(agg)
 }
 
 /// Outcome of the sustained Phase 1–2 throughput mode (experiment E14):
@@ -388,14 +296,7 @@ pub fn run_phase12_throughput(system: &NonAnswerDebugger, n: usize) -> Throughpu
             rep.pruning += t1.elapsed();
             rep.interpretations += 1;
             rep.phase1_nodes_touched += pruned.phase1_nodes_touched();
-            let s = pruned.stats();
-            rep.prune.lattice_nodes = s.lattice_nodes;
-            rep.prune.retained_phase1 += s.retained_phase1;
-            rep.prune.total_nodes += s.total_nodes;
-            rep.prune.mtn_count += s.mtn_count;
-            rep.prune.pruned_nodes += s.pruned_nodes;
-            rep.prune.mtn_descendants_total += s.mtn_descendants_total;
-            rep.prune.mtn_descendants_unique += s.mtn_descendants_unique;
+            rep.prune.accumulate(pruned.stats());
         }
         rep.queries += 1;
     }
@@ -405,19 +306,15 @@ pub fn run_phase12_throughput(system: &NonAnswerDebugger, n: usize) -> Throughpu
     rep
 }
 
-/// Runs the Return-Everything baseline for one query.
-pub fn run_re(system: &NonAnswerDebugger, text: &str) -> Result<QueryAggregate, KwError> {
-    let mut agg = QueryAggregate::default();
-    let query = KeywordQuery::parse(text)?;
-    let t0 = std::time::Instant::now();
-    let mapping = map_keywords(&query, system.index());
-    agg.mapping_time = t0.elapsed();
-    agg.phases.mapping = agg.mapping_time;
+/// Runs the Return-Everything baseline for one query, returning its SQL
+/// queries and SQL time summed over interpretations. RE is the paper's
+/// lattice-free baseline, not a traversal strategy a session can select, so
+/// it drives Phases 1–2 and the oracle itself.
+pub fn run_re(system: &NonAnswerDebugger, text: &str) -> Result<(u64, Duration), KwError> {
+    let (mut queries, mut time) = (0, Duration::ZERO);
+    let mapping = map_keywords(&KeywordQuery::parse(text)?, system.index());
     for interp in &mapping.interpretations {
-        agg.interpretations += 1;
-        let prune_start = std::time::Instant::now();
         let pruned = PrunedLattice::build(system.lattice(), interp);
-        agg.phases.pruning += prune_start.elapsed();
         let mut oracle = AlivenessOracle::new(
             system.database(),
             Some(system.index()),
@@ -425,39 +322,17 @@ pub fn run_re(system: &NonAnswerDebugger, text: &str) -> Result<QueryAggregate, 
             &mapping.keywords,
             false,
         );
-        let trav_start = std::time::Instant::now();
-        let ReOutcome { outcome } = run_return_everything(system.lattice(), &pruned, &mut oracle)?;
-        agg.phases.traversal += trav_start.elapsed();
-        accumulate(&mut agg, &pruned, &outcome);
+        let outcome = run_return_everything(system.lattice(), &pruned, &mut oracle)?;
+        queries += outcome.sql_queries;
+        time += outcome.sql_time;
     }
-    agg.phases.sql = agg.sql_time;
-    agg.phases.total = t0.elapsed();
-    Ok(agg)
+    Ok((queries, time))
 }
 
 /// Runs the Return-Nothing baseline for one query.
 pub fn run_rn(system: &NonAnswerDebugger, text: &str) -> Result<RnOutcome, KwError> {
     let query = KeywordQuery::parse(text)?;
     run_return_nothing(system.database(), system.index(), system.lattice(), &query)
-}
-
-fn accumulate(agg: &mut QueryAggregate, pruned: &PrunedLattice, outcome: &TraversalOutcome) {
-    agg.answers += outcome.alive_mtns.len();
-    agg.non_answers += outcome.dead_mtns.len();
-    agg.mpans += outcome.mpan_total();
-    agg.mpans_unique += outcome.mpan_unique();
-    agg.sql_queries += outcome.sql_queries;
-    agg.sql_time += outcome.sql_time;
-    agg.probes.accumulate(outcome.probes);
-    agg.unknowns += outcome.unknown_mtns.len();
-    let s = pruned.stats();
-    agg.prune.lattice_nodes = s.lattice_nodes;
-    agg.prune.retained_phase1 += s.retained_phase1;
-    agg.prune.total_nodes += s.total_nodes;
-    agg.prune.mtn_count += s.mtn_count;
-    agg.prune.pruned_nodes += s.pruned_nodes;
-    agg.prune.mtn_descendants_total += s.mtn_descendants_total;
-    agg.prune.mtn_descendants_unique += s.mtn_descendants_unique;
 }
 
 /// Renders a text table with right-aligned columns.
@@ -503,20 +378,11 @@ mod tests {
     }
 
     #[test]
-    fn run_query_tiny_end_to_end() {
-        let sys = build_system(DataScale::Tiny, 7, 3);
-        let agg = run_query(&sys, "Widom Trio", StrategyKind::ScoreBasedHeuristic).unwrap();
-        assert!(agg.interpretations >= 1);
-        // Widom authors the Trio paper: at least one answer at level 3.
-        assert!(agg.answers >= 1, "{agg:?}");
-    }
-
-    #[test]
     fn baselines_run() {
         let sys = build_system(DataScale::Tiny, 7, 3);
-        let re = run_re(&sys, "DeRose VLDB").unwrap();
+        let (re_queries, _) = run_re(&sys, "DeRose VLDB").unwrap();
         let rn = run_rn(&sys, "DeRose VLDB").unwrap();
-        assert!(re.sql_queries > 0);
+        assert!(re_queries > 0);
         assert_eq!(rn.submissions, 3); // full + two singletons
         assert!(rn.sql_queries > 0);
     }

@@ -10,7 +10,7 @@
 //! drivers, shared evaluation cache on and off, and under injected probe
 //! faults. Any divergence means a layer served stale state.
 
-use bench::{build_mutable_system, mutable_session_config, DataScale};
+use bench::{build_mutable_system, DataScale};
 use kwdebug::debugger::{DebugConfig, NonAnswerDebugger};
 use kwdebug::metrics::ProbeCounters;
 use kwdebug::mutable::MutableDatabase;
@@ -101,7 +101,7 @@ fn session_config(strategy: StrategyKind, workers: usize, cache: bool) -> DebugC
         strategy,
         workers,
         eval_cache: cache,
-        ..mutable_session_config(MAX_LEVEL)
+        ..bench::session_config(MAX_LEVEL)
     }
 }
 
@@ -132,7 +132,7 @@ fn mutated_reports_match_fresh_rebuild_across_the_matrix() {
     // the ground truth (clone keeps rows and tombstones, rebuilds nothing
     // incrementally).
     let fresh =
-        NonAnswerDebugger::new(m.database().clone(), mutable_session_config(MAX_LEVEL)).unwrap();
+        NonAnswerDebugger::new(m.database().clone(), bench::session_config(MAX_LEVEL)).unwrap();
 
     let mut changed = 0;
     for (qi, q) in QUERIES.iter().enumerate() {
@@ -169,7 +169,7 @@ fn chaos_probes_never_poison_the_shared_store() {
     m.share_eval_cache(None);
     apply_mutation_script(&mut m);
     let fresh =
-        NonAnswerDebugger::new(m.database().clone(), mutable_session_config(MAX_LEVEL)).unwrap();
+        NonAnswerDebugger::new(m.database().clone(), bench::session_config(MAX_LEVEL)).unwrap();
 
     let chaos = FaultConfig {
         seed: 42,

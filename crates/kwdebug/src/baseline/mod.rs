@@ -18,5 +18,5 @@
 pub mod re;
 pub mod rn;
 
-pub use re::{run_return_everything, ReOutcome};
+pub use re::run_return_everything;
 pub use rn::{run_return_nothing, RnOutcome};

@@ -8,13 +8,6 @@ use crate::oracle::AlivenessOracle;
 use crate::prune::PrunedLattice;
 use crate::traversal::{Status, TraversalOutcome};
 
-/// Result of the RE baseline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReOutcome {
-    /// The classification and MPANs (identical to any lattice traversal).
-    pub outcome: TraversalOutcome,
-}
-
 /// Runs RE: execute every MTN, then every descendant of every dead MTN.
 ///
 /// Without the lattice there is no sharing: a sub-query common to two dead
@@ -25,7 +18,7 @@ pub fn run_return_everything(
     lattice: &Lattice,
     pruned: &PrunedLattice,
     oracle: &mut AlivenessOracle<'_>,
-) -> Result<ReOutcome, KwError> {
+) -> Result<TraversalOutcome, KwError> {
     let q0 = oracle.stats().queries;
     let t0 = oracle.stats().total_time;
     let m0 = oracle.metrics().snapshot();
@@ -58,17 +51,15 @@ pub fn run_return_everything(
         mpans.push(crate::traversal::extract_mpans(pruned, &status, m));
     }
 
-    Ok(ReOutcome {
-        outcome: TraversalOutcome {
-            alive_mtns,
-            dead_mtns,
-            possible_mpans: vec![Vec::new(); mpans.len()],
-            mpans,
-            unknown_mtns: Vec::new(),
-            exhausted: None,
-            sql_queries: oracle.stats().queries - q0,
-            sql_time: oracle.stats().total_time.saturating_sub(t0).max(Duration::ZERO),
-            probes: oracle.metrics().snapshot().delta(m0),
-        },
+    Ok(TraversalOutcome {
+        alive_mtns,
+        dead_mtns,
+        possible_mpans: vec![Vec::new(); mpans.len()],
+        mpans,
+        unknown_mtns: Vec::new(),
+        exhausted: None,
+        sql_queries: oracle.stats().queries - q0,
+        sql_time: oracle.stats().total_time.saturating_sub(t0).max(Duration::ZERO),
+        probes: oracle.metrics().snapshot().delta(m0),
     })
 }

@@ -105,12 +105,6 @@ impl Default for DebugConfig {
 
 impl DebugConfig {
     fn validate(&self) -> Result<(), KwError> {
-        if self.max_joins > 12 {
-            return Err(KwError::BadConfig(format!(
-                "max_joins = {} would generate an intractably large lattice",
-                self.max_joins
-            )));
-        }
         if !(0.0..=1.0).contains(&self.pa) {
             return Err(KwError::BadConfig(format!("pa = {} must be within [0, 1]", self.pa)));
         }
@@ -118,17 +112,18 @@ impl DebugConfig {
     }
 }
 
-/// The immutable offline substrate of a debugger, shareable across sessions.
+/// The Phase-0 substrate of a debugger, shareable across sessions.
 ///
 /// Everything a debug call *reads but never writes* — the finalized
 /// [`Database`], the [`InvertedIndex`] over it, the [`SchemaGraph`] and the
 /// offline [`Lattice`] arena — bundled behind [`Arc`]s so that any number of
 /// concurrent sessions (one [`NonAnswerDebugger`] each) can run over a single
 /// resident copy. Cloning is a handful of reference-count bumps; the multi-
-/// megabyte arenas are never duplicated. This is the state split the serving
-/// layer builds on (`kwserve`; DESIGN.md §11): per-session mutable state
-/// (workspace pool, budget window) stays inside each debugger, while the
-/// substrate is shared process-wide.
+/// megabyte arenas are never duplicated. This is the one holder of the
+/// substrate: a [`NonAnswerDebugger`] and a
+/// [`crate::mutable::MutableDatabase`] each keep one `SharedParts` and reach
+/// its accessors through `Deref` (DESIGN.md §11). Per-session mutable state
+/// (workspace pool, budget window) stays inside each debugger.
 ///
 /// Two pieces of *cross-session learning* ride along (DESIGN.md §12):
 ///
@@ -141,8 +136,10 @@ impl DebugConfig {
 ///   sharpen SBH priors across the whole process.
 #[derive(Clone)]
 pub struct SharedParts {
-    db: Arc<Database>,
-    index: Arc<InvertedIndex>,
+    /// Crate-visible for [`crate::mutable::MutableDatabase`], the single
+    /// writer, which mutates them only while it holds the sole reference.
+    pub(crate) db: Arc<Database>,
+    pub(crate) index: Arc<InvertedIndex>,
     graph: Arc<SchemaGraph>,
     lattice: Arc<Lattice>,
     /// The process-wide evaluation cache sessions attach to, when sharing is
@@ -154,6 +151,61 @@ pub struct SharedParts {
 }
 
 impl SharedParts {
+    /// Runs Phase 0 over `db`: finalizes it (building join indexes), then
+    /// builds the inverted index, the schema graph and the offline lattice
+    /// for `max_joins` joins.
+    pub fn build(mut db: Database, max_joins: usize) -> Result<SharedParts, KwError> {
+        if max_joins > 12 {
+            return Err(KwError::BadConfig(format!(
+                "max_joins = {max_joins} would generate an intractably large lattice"
+            )));
+        }
+        db.finalize();
+        let graph = SchemaGraph::new(&db);
+        let lattice = Lattice::build(&db, &graph, max_joins);
+        Ok(SharedParts::assemble(db, graph, lattice))
+    }
+
+    /// Phase 0 reusing a previously persisted lattice (see
+    /// [`crate::lattice_io`]), skipping the expensive lattice generation.
+    /// The lattice must have been built for a database with the same schema
+    /// graph — table and foreign-key ids are validated against `db`.
+    pub fn with_lattice(mut db: Database, lattice: Lattice) -> Result<SharedParts, KwError> {
+        for id in lattice.all_nodes() {
+            let jnts = lattice.jnts(id);
+            for ts in jnts.nodes() {
+                if ts.table >= db.table_count() {
+                    return Err(KwError::BadConfig(format!(
+                        "lattice references table #{} outside this database",
+                        ts.table
+                    )));
+                }
+            }
+            for e in jnts.edges() {
+                if e.fk >= db.foreign_keys().len() {
+                    return Err(KwError::BadConfig(format!(
+                        "lattice references foreign key #{} outside this schema",
+                        e.fk
+                    )));
+                }
+            }
+        }
+        db.finalize();
+        let graph = SchemaGraph::new(&db);
+        Ok(SharedParts::assemble(db, graph, lattice))
+    }
+
+    fn assemble(db: Database, graph: SchemaGraph, lattice: Lattice) -> SharedParts {
+        SharedParts {
+            index: Arc::new(InvertedIndex::build(&db)),
+            db: Arc::new(db),
+            graph: Arc::new(graph),
+            lattice: Arc::new(lattice),
+            shared_cache: None,
+            pa_stats: Arc::new(OnlinePa::new()),
+        }
+    }
+
     /// The shared database.
     pub fn database(&self) -> &Database {
         &self.db
@@ -187,10 +239,10 @@ impl SharedParts {
         self.db.db_id()
     }
 
-    /// The epoch of the wrapped database snapshot. A `SharedParts` handle is
-    /// immutable — writes happen on a [`crate::mutable::MutableDatabase`],
-    /// which hands out fresh parts per epoch — so this is the pin every
-    /// session built from this handle reads at.
+    /// The epoch of the wrapped database snapshot: the cache pin and the
+    /// `epoch` gauge of every report a session over it produces. A handle
+    /// handed out by a [`crate::mutable::MutableDatabase`] is pinned here;
+    /// writes happen only on the coordinator's own copy.
     pub fn epoch(&self) -> u64 {
         self.db.epoch()
     }
@@ -254,20 +306,6 @@ impl SharedParts {
     pub fn without_shared_cache(&self) -> SharedParts {
         SharedParts { shared_cache: None, ..self.clone() }
     }
-
-    /// Assembles a handle from pre-built substrate pieces — the snapshot path
-    /// of [`crate::mutable::MutableDatabase`];
-    /// [`NonAnswerDebugger::shared_parts`] is the public route.
-    pub(crate) fn assemble(
-        db: Arc<Database>,
-        index: Arc<InvertedIndex>,
-        graph: Arc<SchemaGraph>,
-        lattice: Arc<Lattice>,
-        shared_cache: Option<SharedEvalCache>,
-        pa_stats: Arc<OnlinePa>,
-    ) -> SharedParts {
-        SharedParts { db, index, graph, lattice, shared_cache, pa_stats }
-    }
 }
 
 impl std::fmt::Debug for SharedParts {
@@ -285,22 +323,23 @@ impl std::fmt::Debug for SharedParts {
 
 /// The KWS-S system with non-answer debugging.
 ///
-/// Construction performs the offline work (Phase 0): building the inverted
-/// index over the data and generating the query lattice from the schema
-/// graph. [`NonAnswerDebugger::debug`] then answers keyword queries with the
-/// full `A(K) ∪ N(K) ∪ M(K)` output.
+/// Construction performs the offline work (Phase 0, [`SharedParts::build`]):
+/// building the inverted index over the data and generating the query
+/// lattice from the schema graph. [`NonAnswerDebugger::debug`] then answers
+/// keyword queries with the full `A(K) ∪ N(K) ∪ M(K)` output.
 ///
-/// The immutable substrate (database, index, schema graph, lattice) lives
-/// behind [`Arc`]s: [`NonAnswerDebugger::shared_parts`] hands out a cheap
-/// [`SharedParts`] handle and [`NonAnswerDebugger::from_shared`] builds more
-/// debuggers over the *same* resident arenas — the unit of multi-tenant
-/// serving, where each session owns its own workspace pool, evaluation cache
-/// and budget window but all sessions read one copy of the data.
+/// The substrate is one [`SharedParts`], whose accessors (`database`,
+/// `index`, `lattice`, ...) a debugger exposes through `Deref`:
+/// [`NonAnswerDebugger::shared_parts`] hands out a cheap clone and
+/// [`NonAnswerDebugger::from_shared`] builds more debuggers over the *same*
+/// resident arenas — the unit of multi-tenant serving, where each session
+/// owns its own workspace pool, evaluation cache and budget window but all
+/// sessions read one copy of the data.
 pub struct NonAnswerDebugger {
-    db: Arc<Database>,
-    index: Arc<InvertedIndex>,
-    graph: Arc<SchemaGraph>,
-    lattice: Arc<Lattice>,
+    /// The substrate; its shared cache is the store this session attached
+    /// to, if any (re-exported by [`NonAnswerDebugger::shared_parts`] so
+    /// sibling sessions keep sharing).
+    parts: SharedParts,
     config: DebugConfig,
     /// Recycles Phase 1–2 scratch across queries (see [`crate::workspace`]);
     /// `debug` takes `&self`, so concurrent sessions each borrow their own
@@ -314,13 +353,6 @@ pub struct NonAnswerDebugger {
     /// [`SharedParts`] with one attached (there, writes on the owning
     /// [`crate::mutable::MutableDatabase`] invalidate selectively).
     cache: Arc<EvalCache>,
-    /// Online `p_a` estimator fed by executed probes when
-    /// [`DebugConfig::online_pa`] is on — shared with sibling sessions when
-    /// built [`NonAnswerDebugger::from_shared`].
-    pa_stats: Arc<OnlinePa>,
-    /// The shared store this session attached to, if any (re-exported by
-    /// [`NonAnswerDebugger::shared_parts`] so sibling sessions keep sharing).
-    shared_cache: Option<SharedEvalCache>,
     /// This session's registration on the cross-session wave exchange, if
     /// one was attached ([`NonAnswerDebugger::set_wave_exchange`]). Held for
     /// the debugger's lifetime so concurrent peers see the session as a
@@ -329,42 +361,38 @@ pub struct NonAnswerDebugger {
     ticket: Option<crate::batch::BatchTicket>,
 }
 
+impl std::ops::Deref for NonAnswerDebugger {
+    type Target = SharedParts;
+
+    fn deref(&self) -> &SharedParts {
+        &self.parts
+    }
+}
+
 impl NonAnswerDebugger {
-    /// Builds the system over `db`. `db` should be [`Database::finalize`]d;
-    /// if not, join indexes are built here.
-    pub fn new(mut db: Database, config: DebugConfig) -> Result<Self, KwError> {
-        config.validate()?;
-        db.finalize();
-        let index = InvertedIndex::build(&db);
-        let graph = SchemaGraph::new(&db);
-        let lattice = Lattice::build(&db, &graph, config.max_joins);
-        let cache = EvalCache::with_identity(db.db_id(), db.epoch(), None);
-        Ok(NonAnswerDebugger {
-            db: Arc::new(db),
-            index: Arc::new(index),
-            graph: Arc::new(graph),
-            lattice: Arc::new(lattice),
-            config,
-            workspaces: WorkspacePool::new(),
-            cache: Arc::new(cache),
-            pa_stats: Arc::new(OnlinePa::new()),
-            shared_cache: None,
-            ticket: None,
-        })
+    /// Builds the system over `db`: [`SharedParts::build`] for
+    /// `config.max_joins`, then a session over it.
+    pub fn new(db: Database, config: DebugConfig) -> Result<Self, KwError> {
+        config.validate()?; // fail fast, before the expensive Phase 0
+        Self::from_shared(SharedParts::build(db, config.max_joins)?, config)
     }
 
-    /// A cheap handle onto this debugger's immutable substrate (database,
-    /// index, schema graph, lattice), for building sibling sessions with
+    /// Builds the system reusing a previously persisted lattice
+    /// ([`SharedParts::with_lattice`]), skipping the expensive Phase-0
+    /// generation. The lattice must match `config.max_joins`.
+    pub fn with_lattice(
+        db: Database,
+        lattice: Lattice,
+        config: DebugConfig,
+    ) -> Result<Self, KwError> {
+        Self::from_shared(SharedParts::with_lattice(db, lattice)?, config)
+    }
+
+    /// A cheap handle onto this debugger's substrate (database, index,
+    /// schema graph, lattice), for building sibling sessions with
     /// [`NonAnswerDebugger::from_shared`]. Clones bump reference counts only.
     pub fn shared_parts(&self) -> SharedParts {
-        SharedParts {
-            db: Arc::clone(&self.db),
-            index: Arc::clone(&self.index),
-            graph: Arc::clone(&self.graph),
-            lattice: Arc::clone(&self.lattice),
-            shared_cache: self.shared_cache.clone(),
-            pa_stats: Arc::clone(&self.pa_stats),
-        }
+        self.parts.clone()
     }
 
     /// Builds a new *session* over an existing substrate: the returned
@@ -381,106 +409,24 @@ impl NonAnswerDebugger {
     /// `p_a` estimator is always the substrate's shared one.
     pub fn from_shared(parts: SharedParts, config: DebugConfig) -> Result<Self, KwError> {
         config.validate()?;
-        if parts.lattice.max_joins() != config.max_joins {
+        if parts.max_joins() != config.max_joins {
             return Err(KwError::BadConfig(format!(
                 "shared lattice was built for maxJoins = {}, config wants {}",
-                parts.lattice.max_joins(),
+                parts.max_joins(),
                 config.max_joins
             )));
         }
         let cache = match &parts.shared_cache {
             Some(shared) => shared.handle(),
-            None => {
-                Arc::new(EvalCache::with_identity(parts.db.db_id(), parts.db.epoch(), None))
-            }
+            None => Arc::new(EvalCache::with_identity(parts.db_id(), parts.epoch(), None)),
         };
         Ok(NonAnswerDebugger {
-            db: parts.db,
-            index: parts.index,
-            graph: parts.graph,
-            lattice: parts.lattice,
+            parts,
             config,
             workspaces: WorkspacePool::new(),
             cache,
-            pa_stats: parts.pa_stats,
-            shared_cache: parts.shared_cache,
             ticket: None,
         })
-    }
-
-    /// Builds the system reusing a previously persisted lattice (see
-    /// [`crate::lattice_io`]), skipping the expensive Phase-0 generation.
-    /// The lattice must match `config.max_joins` and must have been built
-    /// for a database with the same schema graph — table and foreign-key
-    /// ids are validated against `db`.
-    pub fn with_lattice(
-        mut db: Database,
-        lattice: Lattice,
-        config: DebugConfig,
-    ) -> Result<Self, KwError> {
-        config.validate()?;
-        if lattice.max_joins() != config.max_joins {
-            return Err(KwError::BadConfig(format!(
-                "lattice was built for maxJoins = {}, config wants {}",
-                lattice.max_joins(),
-                config.max_joins
-            )));
-        }
-        for id in lattice.all_nodes() {
-            let jnts = lattice.jnts(id);
-            for ts in jnts.nodes() {
-                if ts.table >= db.table_count() {
-                    return Err(KwError::BadConfig(format!(
-                        "lattice references table #{} outside this database",
-                        ts.table
-                    )));
-                }
-            }
-            for e in jnts.edges() {
-                if e.fk >= db.foreign_keys().len() {
-                    return Err(KwError::BadConfig(format!(
-                        "lattice references foreign key #{} outside this schema",
-                        e.fk
-                    )));
-                }
-            }
-        }
-        db.finalize();
-        let index = InvertedIndex::build(&db);
-        let graph = SchemaGraph::new(&db);
-        let cache = EvalCache::with_identity(db.db_id(), db.epoch(), None);
-        Ok(NonAnswerDebugger {
-            db: Arc::new(db),
-            index: Arc::new(index),
-            graph: Arc::new(graph),
-            lattice: Arc::new(lattice),
-            config,
-            workspaces: WorkspacePool::new(),
-            cache: Arc::new(cache),
-            pa_stats: Arc::new(OnlinePa::new()),
-            shared_cache: None,
-            ticket: None,
-        })
-    }
-
-    /// The underlying database.
-    pub fn database(&self) -> &Database {
-        &self.db
-    }
-
-    /// The offline lattice.
-    pub fn lattice(&self) -> &Lattice {
-        &self.lattice
-    }
-
-    /// The inverted index.
-    pub fn index(&self) -> &InvertedIndex {
-        &self.index
-    }
-
-    /// The schema graph.
-    pub fn schema_graph(&self) -> &SchemaGraph {
-        &self.graph
     }
 
     /// The active configuration.
@@ -525,7 +471,7 @@ impl NonAnswerDebugger {
     /// land in different groups and never share a wave. `None` detaches
     /// (deregistering immediately).
     pub fn set_wave_exchange(&mut self, exchange: Option<Arc<crate::batch::WaveExchange>>) {
-        self.ticket = exchange.map(|ex| ex.register(self.db.db_id(), self.db.epoch()));
+        self.ticket = exchange.map(|ex| ex.register(self.db_id(), self.epoch()));
     }
 
     /// The attached cross-session wave exchange, if any.
@@ -556,34 +502,8 @@ impl NonAnswerDebugger {
     /// to every session; one session must not be able to dump it) — not
     /// reachable over the serving wire.
     pub fn reset_eval_cache(&mut self) {
-        self.cache =
-            Arc::new(EvalCache::with_identity(self.db.db_id(), self.db.epoch(), None));
-        self.shared_cache = None;
-    }
-
-    /// Process-unique id of the database build this debugger reads (stamped
-    /// on shared caches; see [`SharedParts::db_id`]).
-    pub fn db_id(&self) -> u64 {
-        self.db.db_id()
-    }
-
-    /// The epoch of the database snapshot this debugger reads — its cache
-    /// pin and the `epoch` gauge of every report it produces.
-    pub fn epoch(&self) -> u64 {
-        self.db.epoch()
-    }
-
-    /// The online `p_a` estimator this debugger records into and reads from
-    /// when [`DebugConfig::online_pa`] is on (shared across sibling sessions
-    /// built with [`NonAnswerDebugger::from_shared`]).
-    pub fn pa_stats(&self) -> &Arc<OnlinePa> {
-        &self.pa_stats
-    }
-
-    /// The process-wide store this session attached to, if it was built over
-    /// [`SharedParts`] carrying one.
-    pub fn shared_cache(&self) -> Option<&SharedEvalCache> {
-        self.shared_cache.as_ref()
+        self.cache = Arc::new(EvalCache::with_identity(self.db_id(), self.epoch(), None));
+        self.parts.shared_cache = None;
     }
 
     /// Debugs a keyword query end to end (Phases 1–3).
@@ -602,7 +522,7 @@ impl NonAnswerDebugger {
         let query = KeywordQuery::parse(input)?;
 
         let map_start = Instant::now();
-        let mapping = map_keywords(&query, &self.index);
+        let mapping = map_keywords(&query, self.index());
         let mapping_time = map_start.elapsed();
 
         let ticket = self.ticket.as_ref();
@@ -640,16 +560,19 @@ impl NonAnswerDebugger {
     ) -> Result<InterpretationOutcome, KwError> {
         let prune_start = Instant::now();
         let (mut ws, _reused) = self.workspaces.acquire();
-        let pruned = PrunedLattice::build_with(&self.lattice, interp, &mut ws);
+        let pruned = PrunedLattice::build_with(self.lattice(), interp, &mut ws);
         self.workspaces.release(ws);
         let pruning = prune_start.elapsed();
         let mut oracle = self.oracle(interp, keywords);
-        let pa =
-            if self.config.online_pa { self.pa_stats.estimate_pa(&pruned) } else { self.config.pa };
+        let pa = if self.config.online_pa {
+            self.pa_stats().estimate_pa(&pruned)
+        } else {
+            self.config.pa
+        };
         let traversal_start = Instant::now();
         let mut outcome = traversal::run_with_ticket(
             strategy,
-            &self.lattice,
+            self.lattice(),
             &pruned,
             &mut oracle,
             pa,
@@ -667,15 +590,15 @@ impl NonAnswerDebugger {
         // and the lifetime invalidation/compaction counts of the substrate it
         // read. Gauges, not probe work — `Metrics::delta` carries them
         // through windows unchanged.
-        outcome.probes.epoch = self.db.epoch();
+        outcome.probes.epoch = self.epoch();
         outcome.probes.entries_invalidated = self.cache.invalidated();
-        outcome.probes.compactions = self.index.compactions();
+        outcome.probes.compactions = self.index().compactions();
 
         let report_start = Instant::now();
         let keyword_tables = keywords
             .iter()
             .zip(interp.tables())
-            .map(|(k, &t)| (k.clone(), self.db.table(t).schema().name.clone()))
+            .map(|(k, &t)| (k.clone(), self.database().table(t).schema().name.clone()))
             .collect();
 
         let mut answers = Vec::with_capacity(outcome.alive_mtns.len());
@@ -736,8 +659,8 @@ impl NonAnswerDebugger {
         keywords: &'s [String],
     ) -> AlivenessOracle<'s> {
         let mut oracle = AlivenessOracle::new(
-            &self.db,
-            Some(&self.index),
+            self.database(),
+            Some(self.index()),
             interp,
             keywords,
             self.config.memoize,
@@ -752,7 +675,7 @@ impl NonAnswerDebugger {
             oracle = oracle.with_eval_cache(Arc::clone(&self.cache));
         }
         if self.config.online_pa {
-            oracle = oracle.with_pa_stats(Arc::clone(&self.pa_stats));
+            oracle = oracle.with_pa_stats(Arc::clone(self.pa_stats()));
         }
         oracle
     }
@@ -771,7 +694,7 @@ impl NonAnswerDebugger {
         oracle: &mut AlivenessOracle<'_>,
         alive: bool,
     ) -> Result<QueryInfo, KwError> {
-        let jnts = pruned.jnts(&self.lattice, dense);
+        let jnts = pruned.jnts(self.lattice(), dense);
         let sql = oracle.sql(jnts)?;
         let sample_tuples = if alive && self.config.sample_limit > 0 {
             let sampled = match oracle.witness(pruned.lattice_id(dense)) {
@@ -780,7 +703,7 @@ impl NonAnswerDebugger {
             };
             match sampled {
                 Ok(tuples) => {
-                    tuples.into_iter().map(|t| render_tuple(&self.db, jnts, &t)).collect()
+                    tuples.into_iter().map(|t| render_tuple(self.database(), jnts, &t)).collect()
                 }
                 Err(KwError::BudgetExhausted(_)) => Vec::new(),
                 Err(KwError::Engine(e)) if e.is_fault() => Vec::new(),
@@ -883,12 +806,12 @@ mod tests {
             let mut d = debugger(kind);
             d.set_eval_cache(cache);
             for text in ["red candle", "saffron candle", "scented saffron"] {
-                let mapping = map_keywords(&KeywordQuery::parse(text).unwrap(), &d.index);
+                let mapping = map_keywords(&KeywordQuery::parse(text).unwrap(), d.index());
                 for interp in &mapping.interpretations {
-                    let pruned = PrunedLattice::build(&d.lattice, interp);
+                    let pruned = PrunedLattice::build(d.lattice(), interp);
                     let mut oracle = d.oracle(interp, &mapping.keywords);
                     let outcome =
-                        traversal::run(kind, &d.lattice, &pruned, &mut oracle, 0.5).unwrap();
+                        traversal::run(kind, d.lattice(), &pruned, &mut oracle, 0.5).unwrap();
                     let queries = oracle.queries();
                     let (mut reported, mut unwitnessed) = (0, 0);
                     for &dense in outcome.alive_mtns.iter().chain(outcome.mpans.iter().flatten())

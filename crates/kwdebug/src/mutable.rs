@@ -27,8 +27,9 @@
 //! the world (benchmarked by E19, `exp_mutate`).
 //!
 //! Schema is fixed for the lifetime of the coordinator (writes are DML
-//! only), so the [`SchemaGraph`] and the offline [`Lattice`] — both pure
-//! functions of the schema — are built once and never refreshed.
+//! only), so the [`crate::schema_graph::SchemaGraph`] and the offline
+//! [`crate::lattice::Lattice`] — both pure functions of the schema — are
+//! built once and never refreshed.
 
 use std::sync::Arc;
 
@@ -37,78 +38,42 @@ use textindex::InvertedIndex;
 
 use crate::debugger::{DebugConfig, NonAnswerDebugger, SharedParts};
 use crate::error::KwError;
-use crate::estimate::OnlinePa;
 use crate::evalcache::SharedEvalCache;
-use crate::lattice::Lattice;
-use crate::schema_graph::SchemaGraph;
 
 /// A database plus its derived read structures under single-writer mutation.
 ///
-/// See the [module docs](crate::mutable) for the write-path contract. Debug
-/// sessions are built over snapshots: [`MutableDatabase::parts`] hands out a
-/// [`SharedParts`] pinned at the current epoch, and
+/// See the [module docs](crate::mutable) for the write-path contract. The
+/// substrate is one [`SharedParts`], whose read accessors (`database`,
+/// `index`, `epoch`, `shared_cache`, ...) the coordinator exposes through
+/// `Deref`. Its shared cache is the one the write path keeps epoch-current,
+/// and its online `p_a` estimator survives writes deliberately: it only
+/// ever tunes the score-based heuristic's probe order, never its output.
+/// Debug sessions are built over snapshots: [`MutableDatabase::parts`]
+/// hands out a [`SharedParts`] pinned at the current epoch, and
 /// [`MutableDatabase::session`] is the one-call shortcut.
 pub struct MutableDatabase {
-    db: Arc<Database>,
-    index: Arc<InvertedIndex>,
-    graph: Arc<SchemaGraph>,
-    lattice: Arc<Lattice>,
-    /// The process-wide evaluation cache kept epoch-current by the write
-    /// path, when sharing is enabled (`None` = sessions get private caches,
-    /// each stamped at its snapshot's epoch).
-    shared_cache: Option<SharedEvalCache>,
-    /// Cross-epoch online `p_a` estimator. Verdict statistics survive writes
-    /// deliberately: they only ever tune the score-based heuristic's probe
-    /// order, never its output, so slightly-stale priors are harmless.
-    pa_stats: Arc<OnlinePa>,
+    parts: SharedParts,
+}
+
+impl std::ops::Deref for MutableDatabase {
+    type Target = SharedParts;
+
+    fn deref(&self) -> &SharedParts {
+        &self.parts
+    }
 }
 
 impl MutableDatabase {
-    /// Builds the coordinator over `db`: finalizes it, builds the inverted
-    /// index, the schema graph and the offline lattice for `max_joins`.
-    pub fn new(mut db: Database, max_joins: usize) -> Result<Self, KwError> {
-        if max_joins > 12 {
-            return Err(KwError::BadConfig(format!(
-                "max_joins = {max_joins} would generate an intractably large lattice"
-            )));
-        }
-        db.finalize();
-        let index = InvertedIndex::build(&db);
-        let graph = SchemaGraph::new(&db);
-        let lattice = Lattice::build(&db, &graph, max_joins);
-        Ok(MutableDatabase {
-            db: Arc::new(db),
-            index: Arc::new(index),
-            graph: Arc::new(graph),
-            lattice: Arc::new(lattice),
-            shared_cache: None,
-            pa_stats: Arc::new(OnlinePa::new()),
-        })
-    }
-
-    /// The current database snapshot.
-    pub fn database(&self) -> &Database {
-        &self.db
-    }
-
-    /// The inverted index, synchronized to [`MutableDatabase::epoch`].
-    pub fn index(&self) -> &InvertedIndex {
-        &self.index
-    }
-
-    /// The current epoch (bumped by every successful write).
-    pub fn epoch(&self) -> u64 {
-        self.db.epoch()
-    }
-
-    /// Process-unique id of the coordinated database.
-    pub fn db_id(&self) -> u64 {
-        self.db.db_id()
+    /// Builds the coordinator over `db` ([`SharedParts::build`]): finalizes
+    /// it, builds the inverted index, the schema graph and the offline
+    /// lattice for `max_joins`.
+    pub fn new(db: Database, max_joins: usize) -> Result<Self, KwError> {
+        Ok(MutableDatabase { parts: SharedParts::build(db, max_joins)? })
     }
 
     /// Resolves a table name to its id.
     pub fn table_id(&self, name: &str) -> Option<TableId> {
-        self.db.table_id(name)
+        self.database().table_id(name)
     }
 
     /// Creates and attaches a [`SharedEvalCache`] stamped with the current
@@ -116,14 +81,7 @@ impl MutableDatabase {
     /// (`None` = unbounded). The write path keeps it epoch-current from then
     /// on; sessions built from later [`MutableDatabase::parts`] share it.
     pub fn share_eval_cache(&mut self, budget_bytes: Option<u64>) -> SharedEvalCache {
-        let cache = SharedEvalCache::new(self.db.db_id(), self.db.epoch(), budget_bytes);
-        self.shared_cache = Some(cache.clone());
-        cache
-    }
-
-    /// The attached shared cache, if any.
-    pub fn shared_cache(&self) -> Option<&SharedEvalCache> {
-        self.shared_cache.as_ref()
+        self.parts.share_eval_cache(budget_bytes)
     }
 
     /// Sets the pending-row threshold at which the index folds delta
@@ -154,7 +112,7 @@ impl MutableDatabase {
     ) -> Result<u64, KwError> {
         self.db_mut()?.update_row(table, id, values)?;
         self.sync();
-        Ok(self.db.epoch())
+        Ok(self.epoch())
     }
 
     /// Tombstones row `id` of `table`, returning the new epoch. Row ids are
@@ -162,21 +120,14 @@ impl MutableDatabase {
     pub fn delete_row(&mut self, table: TableId, id: RowId) -> Result<u64, KwError> {
         self.db_mut()?.delete_row(table, id)?;
         self.sync();
-        Ok(self.db.epoch())
+        Ok(self.epoch())
     }
 
     /// A [`SharedParts`] snapshot pinned at the current epoch. Sessions built
     /// from it (and the handle itself) block writes until dropped — the
     /// single-writer contract.
     pub fn parts(&self) -> SharedParts {
-        SharedParts::assemble(
-            Arc::clone(&self.db),
-            Arc::clone(&self.index),
-            Arc::clone(&self.graph),
-            Arc::clone(&self.lattice),
-            self.shared_cache.clone(),
-            Arc::clone(&self.pa_stats),
-        )
+        self.parts.clone()
     }
 
     /// Builds a debug session over the current snapshot
@@ -190,7 +141,7 @@ impl MutableDatabase {
     /// Exclusive access to the database, or a refusal while snapshots are
     /// outstanding.
     fn db_mut(&mut self) -> Result<&mut Database, KwError> {
-        Arc::get_mut(&mut self.db).ok_or_else(|| {
+        Arc::get_mut(&mut self.parts.db).ok_or_else(|| {
             KwError::BadConfig(
                 "database snapshot has outstanding holders; \
                  drop sessions and parts before writing"
@@ -203,10 +154,11 @@ impl MutableDatabase {
     /// database too, so after a successful [`MutableDatabase::db_mut`] this
     /// is uncontended; the clone fallback covers any other holder.
     fn index_mut(&mut self) -> &mut InvertedIndex {
-        if Arc::get_mut(&mut self.index).is_none() {
-            self.index = Arc::new((*self.index).clone());
+        let index = &mut self.parts.index;
+        if Arc::get_mut(index).is_none() {
+            *index = Arc::new((**index).clone());
         }
-        Arc::get_mut(&mut self.index).expect("index arc is uniquely held")
+        Arc::get_mut(index).expect("index arc is uniquely held")
     }
 
     /// Brings the derived read structures up to the database's epoch: the
@@ -219,9 +171,9 @@ impl MutableDatabase {
     /// session shared and kept) finds the gap and purges itself when next
     /// adopted, rather than serving stale entries.
     fn sync(&mut self) {
-        let db = Arc::clone(&self.db);
+        let db = Arc::clone(&self.parts.db);
         self.index_mut().apply_deltas(&db);
-        if let Some(cache) = &self.shared_cache {
+        if let Some(cache) = self.shared_cache() {
             cache.invalidate(&db);
         }
         drop(db);
@@ -235,12 +187,12 @@ impl MutableDatabase {
 impl std::fmt::Debug for MutableDatabase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MutableDatabase")
-            .field("db_id", &self.db.db_id())
-            .field("epoch", &self.db.epoch())
-            .field("tables", &self.db.table_count())
-            .field("pending_delta_rows", &self.index.pending_delta_rows())
-            .field("compactions", &self.index.compactions())
-            .field("shared_cache", &self.shared_cache.is_some())
+            .field("db_id", &self.db_id())
+            .field("epoch", &self.epoch())
+            .field("tables", &self.database().table_count())
+            .field("pending_delta_rows", &self.index().pending_delta_rows())
+            .field("compactions", &self.index().compactions())
+            .field("shared_cache", &self.shared_cache().is_some())
             .finish()
     }
 }

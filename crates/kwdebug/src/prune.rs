@@ -72,6 +72,19 @@ impl PruneStats {
             100.0 * (1.0 - self.mtn_descendants_unique as f64 / self.mtn_descendants_total as f64)
         }
     }
+
+    /// Adds another interpretation's counts to these, for per-query totals.
+    /// `lattice_nodes` is the offline lattice's size, shared rather than
+    /// summed.
+    pub fn accumulate(&mut self, other: &PruneStats) {
+        self.lattice_nodes = other.lattice_nodes;
+        self.retained_phase1 += other.retained_phase1;
+        self.total_nodes += other.total_nodes;
+        self.mtn_count += other.mtn_count;
+        self.pruned_nodes += other.pruned_nodes;
+        self.mtn_descendants_total += other.mtn_descendants_total;
+        self.mtn_descendants_unique += other.mtn_descendants_unique;
+    }
 }
 
 /// The per-interpretation sub-lattice: MTNs and their descendants, densely

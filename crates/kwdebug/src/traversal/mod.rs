@@ -211,30 +211,17 @@ pub fn run(
     oracle: &mut AlivenessOracle<'_>,
     pa: f64,
 ) -> Result<TraversalOutcome, KwError> {
-    run_with_workers(kind, lattice, pruned, oracle, pa, 1)
+    run_with_ticket(kind, lattice, pruned, oracle, pa, 1, None)
 }
 
 /// Runs a traversal strategy over a pruned lattice, fanning each probe wave
-/// over `workers` threads when `workers > 1` (see [`crate::parallel`]).
-/// `workers <= 1` probes inline on the oracle's own engine; either way the
-/// outcome — classification, MPAN sets, probe counters — is identical, only
-/// wall-clock changes.
-pub fn run_with_workers(
-    kind: StrategyKind,
-    lattice: &Lattice,
-    pruned: &PrunedLattice,
-    oracle: &mut AlivenessOracle<'_>,
-    pa: f64,
-    workers: usize,
-) -> Result<TraversalOutcome, KwError> {
-    run_with_ticket(kind, lattice, pruned, oracle, pa, workers, None)
-}
-
-/// [`run_with_workers`] with an optional cross-session batching ticket:
-/// when one is held, the executor is wrapped in the exchange
-/// (`crate::batch::Exchange`) so overlapping probes of concurrent sessions
-/// coalesce in flight. The classification outcome is identical either way;
-/// see the `crate::batch` module docs for the argument.
+/// over `workers` threads when `workers > 1` (see [`crate::parallel`]), and
+/// with an optional cross-session batching ticket: when one is held, the
+/// executor is wrapped in the exchange (`crate::batch::Exchange`) so
+/// overlapping probes of concurrent sessions coalesce in flight. The
+/// outcome — classification, MPAN sets, probe counters — is identical
+/// either way, only wall-clock changes; see the `crate::batch` module docs
+/// for the argument.
 pub(crate) fn run_with_ticket(
     kind: StrategyKind,
     lattice: &Lattice,

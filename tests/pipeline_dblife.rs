@@ -138,9 +138,9 @@ fn all_strategies_and_re_agree_on_the_whole_workload() {
             );
             let re = run_return_everything(sys.lattice(), &pruned, &mut oracle)
                 .expect("RE runs");
-            assert_eq!(re.outcome.alive_mtns, reference.alive_mtns, "{} RE", q.id);
-            assert_eq!(re.outcome.dead_mtns, reference.dead_mtns, "{} RE", q.id);
-            assert_eq!(re.outcome.mpans, reference.mpans, "{} RE", q.id);
+            assert_eq!(re.alive_mtns, reference.alive_mtns, "{} RE", q.id);
+            assert_eq!(re.dead_mtns, reference.dead_mtns, "{} RE", q.id);
+            assert_eq!(re.mpans, reference.mpans, "{} RE", q.id);
         }
     }
 }

@@ -15,6 +15,17 @@ fast=0
 echo "==> cargo build --release (workspace, all targets)"
 cargo build --workspace --release --bins --examples --benches --tests
 
+echo "==> experiment count drift (exp_memo, exp_pa_sweep, Figure 11 of exp_traversal vs results/)"
+fig11() { sed -n '/^Figure 11/,/^$/p'; }
+drift=0
+diff <(./target/release/exp_memo --scale medium --max-level 5 2>/dev/null) \
+    results/exp_memo_L5_medium.txt || drift=1
+diff <(./target/release/exp_pa_sweep --scale medium --max-level 5 2>/dev/null) \
+    results/exp_pa_sweep_L5_medium.txt || drift=1
+diff <(./target/release/exp_traversal --scale medium --max-level 5 2>/dev/null | fig11) \
+    <(fig11 < results/exp_traversal_L5_medium.txt) || drift=1
+[[ $drift -eq 0 ]] || { echo "experiment counts drifted from the committed results/ tables"; exit 1; }
+
 echo "==> cargo test -q (workspace)"
 cargo test --workspace -q
 
